@@ -58,70 +58,67 @@ class TopKHeap {
   std::vector<ScoredEntity> items_;
 };
 
-// The query's unpruned cells per sp-index level, shared (immutably) between
-// a materialized frontier entry and its children until they materialize
-// their own copies. Stored as *bitmasks over ordinals* into the query's root
-// cell lists: filtering only ever needs a cell's hashes (indexed by ordinal
-// in the per-query hash table), counts fall out of popcounts, and a whole
-// Remaining is a handful of words — so the frontier's per-node state comes
-// from a reusable pool instead of the heap.
-struct Remaining {
-  Level base;  // first level with a stored mask (levels base..m)
-  uint32_t refs = 0;  // frontier entries referencing this (single-threaded)
-  std::vector<uint32_t> counts;  // all levels [1..m] (frozen above `base`)
-  std::vector<uint64_t> words;   // masks for levels base..m, concatenated
-};
-
-// Per-query pool: Remaining objects are recycled through a free list, so
-// steady-state materialization allocates nothing (vector capacities survive
-// reuse). Everything is owned by storage_ and freed when the query returns,
-// which also covers entries stranded in the frontier by early termination.
-class RemainingPool {
+// Per-query arena of Remaining states: the query's unpruned cells per
+// sp-index level as seen by one frontier entry. A slot is the entry's
+// per-level counts (levels 1..m) plus a bitmask over ordinals into the
+// query's root cell list for every level, at fixed offsets (a node at level
+// i fills only levels i+1..m; filtering only ever needs a cell's hashes,
+// indexed by ordinal in the per-query hash table, and counts fall out of
+// popcounts). Every frontier entry owns exactly one slot, addressed by a
+// uint32_t handle and recycled through a free list, so steady-state
+// expansion allocates nothing.
+class RemainingArena {
  public:
-  // Returns every object to the free list (capacities intact). Called at
-  // query start, so a thread-local pool carries its high-water storage from
-  // query to query and steady-state queries allocate no Remaining at all.
-  // Safe because nothing outlives the query that acquired it.
-  void Reset() {
+  // Drops every slot and sets the stride for this query's geometry. Storage
+  // capacity survives, so a thread-local arena carries its high-water mark
+  // from query to query. Safe because no handle outlives its query (this
+  // also reclaims entries stranded in the frontier by early termination).
+  void Reset(size_t num_levels, size_t num_words) {
+    levels_ = num_levels;
+    words_ = num_words;
+    next_ = 0;
     free_.clear();
-    free_.reserve(storage_.size());
-    for (auto& r : storage_) free_.push_back(r.get());
   }
 
-  Remaining* Acquire() {
-    if (free_.empty()) {
-      storage_.push_back(std::make_unique<Remaining>());
-      return storage_.back().get();
+  uint32_t Acquire() {
+    if (!free_.empty()) {
+      const uint32_t h = free_.back();
+      free_.pop_back();
+      return h;
     }
-    Remaining* r = free_.back();
-    free_.pop_back();
-    return r;
+    const uint32_t h = next_++;
+    if (counts_.size() < next_ * levels_) counts_.resize(next_ * levels_);
+    if (masks_.size() < next_ * words_) masks_.resize(next_ * words_);
+    return h;
   }
+  void Release(uint32_t h) { free_.push_back(h); }
 
-  void AddRef(Remaining* r) { ++r->refs; }
-  void Release(Remaining* r) {
-    if (--r->refs == 0) free_.push_back(r);
-  }
+  // Valid until the next Acquire (which may grow the storage).
+  uint32_t* counts(uint32_t h) { return counts_.data() + h * levels_; }
+  uint64_t* masks(uint32_t h) { return masks_.data() + h * words_; }
 
  private:
-  std::vector<std::unique_ptr<Remaining>> storage_;
-  std::vector<Remaining*> free_;
+  size_t levels_ = 0;
+  size_t words_ = 0;
+  uint32_t next_ = 0;
+  std::vector<uint32_t> counts_;
+  std::vector<uint64_t> masks_;
+  std::vector<uint32_t> free_;
 };
 
-// Frontier entries are *lazily materialized*: a child is pushed carrying its
-// parent's Remaining and the parent's (admissible) bound; only when popped
-// does it filter the query cells through its own (routing, value) and
-// tighten its bound — re-entering the queue if something else now ranks
-// higher. This keeps bounds admissible at all times (a parent's bound
-// dominates the child's true bound by Theorem 3) while skipping filtering
-// work for subtrees the early-termination rule never reaches.
+// Frontier entries are bounded eagerly: a child enters the frontier only
+// after its own (routing, value) has filtered its parent's remaining cells,
+// carrying that tightened bound and its own Remaining slot, and only if the
+// certified k-th score does not already dominate the bound. A popped entry
+// is expanded directly, and the pop order is the order of true tightened
+// bounds.
 struct FrontierEntry {
   double ub;
   uint32_t node;
-  uint32_t lane;   // which SearchLane's tree `node` indexes into
-  uint64_t order;  // deterministic tie-break (FIFO among equal bounds)
-  bool materialized;
-  Remaining* remaining;  // pool-owned; own if materialized, else parent's
+  uint32_t lane;       // which SearchLane's tree `node` indexes into
+  uint32_t order;      // deterministic tie-break (FIFO among equal bounds);
+                       // one per push, and a node is pushed at most once
+  uint32_t remaining;  // RemainingArena handle, owned by this entry
 };
 
 struct EntryLess {
@@ -469,20 +466,13 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
   hash_table.resize(m);
   cell_min.resize(m);
   hash_row.resize(nh);
-  // Mask geometry: level l's mask is word_count[l-1] words; a Remaining with
-  // base b stores levels b..m at offset word_prefix[l-1] - word_prefix[b-1].
+  // Mask geometry: level l's mask is word_count[l-1] words at offset
+  // word_prefix[l-1] of every arena slot.
   std::vector<size_t> word_count(m), word_prefix(m + 1, 0);
-  static thread_local RemainingPool pool;
-  pool.Reset();
-  Remaining* root_remaining = pool.Acquire();
-  root_remaining->base = 1;
-  root_remaining->refs = 1;
-  root_remaining->counts.assign(m, 0);
   for (Level l = 1; l <= m; ++l) {
     const auto cells = cursor->CellsInWindow(q, l, w0, w1);
     const size_t n = cells.size();
     q_sizes[l - 1] = static_cast<uint32_t>(n);
-    root_remaining->counts[l - 1] = q_sizes[l - 1];
     word_count[l - 1] = (n + 63) / 64;
     word_prefix[l] = word_prefix[l - 1] + word_count[l - 1];
     auto& table = hash_table[l - 1];
@@ -500,14 +490,22 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
     }
     stats.hash_evals += n * static_cast<size_t>(nh);
   }
-  // Root masks: all query cells survive; tail bits beyond n stay zero (the
+  static thread_local RemainingArena arena;
+  arena.Reset(m, word_prefix[m]);
+  // Root state: every query cell survives; tail bits beyond n stay zero (the
   // filter loops only propagate set input bits, preserving this).
-  root_remaining->words.assign(word_prefix[m], 0);
-  for (Level l = 1; l <= m; ++l) {
-    uint64_t* w = root_remaining->words.data() + word_prefix[l - 1];
-    const size_t n = q_sizes[l - 1];
-    for (size_t i = 0; i < n / 64; ++i) w[i] = ~uint64_t{0};
-    if (n % 64 != 0) w[n / 64] = (uint64_t{1} << (n % 64)) - 1;
+  const uint32_t root_remaining = arena.Acquire();
+  {
+    uint32_t* counts = arena.counts(root_remaining);
+    uint64_t* masks = arena.masks(root_remaining);
+    std::copy(q_sizes.begin(), q_sizes.end(), counts);
+    std::fill(masks, masks + word_prefix[m], 0);
+    for (Level l = 1; l <= m; ++l) {
+      uint64_t* w = masks + word_prefix[l - 1];
+      const size_t n = q_sizes[l - 1];
+      for (size_t i = 0; i < n / 64; ++i) w[i] = ~uint64_t{0};
+      if (n % 64 != 0) w[n / 64] = (uint64_t{1} << (n % 64)) - 1;
+    }
   }
 
   // Thread-local like the hash table: Build overwrites all per-query state,
@@ -522,7 +520,7 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
   // Thread-local like the hash table: cleared per query, capacity survives.
   static thread_local FrontierHeap frontier;
   frontier.Clear();
-  uint64_t order = 0;
+  uint32_t order = 0;
   // Per-lane population-wide root bounds from the coarse signatures (the
   // shared router's level-1 extraction): a query cell at any level can
   // belong to some lane member only if every one of its hashes dominates
@@ -530,7 +528,7 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
   // levels by the hash family's parent constraint). Evaluated straight off
   // the transposed hash table — no hashing beyond what the search already
   // paid.
-  const double root_ub = measure.UpperBound(q_sizes, root_remaining->counts);
+  const double root_ub = measure.UpperBound(q_sizes, q_sizes);
   std::vector<double> lane_bound(lanes.size(), root_ub);
   {
     std::vector<uint32_t> remaining(m);
@@ -572,12 +570,18 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
   }
   // Every lane's root enters the one shared frontier, carrying the lane's
   // cap: a lane whose bound cannot reach the k-th score sinks below the
-  // termination point and is skipped outright. All roots share
-  // root_remaining (no filtering has happened yet).
-  root_remaining->refs = static_cast<uint32_t>(lanes.size());
+  // termination point and is skipped outright. Each root owns a copy of the
+  // unfiltered root state.
   for (uint32_t lane = 0; lane < lanes.size(); ++lane) {
-    frontier.push({lane_bound[lane], lanes[lane].tree->root(), lane, order++,
-                   /*materialized=*/true, root_remaining});
+    uint32_t remaining = root_remaining;
+    if (lane > 0) {
+      remaining = arena.Acquire();
+      std::copy_n(arena.counts(root_remaining), m, arena.counts(remaining));
+      std::copy_n(arena.masks(root_remaining), word_prefix[m],
+                  arena.masks(remaining));
+    }
+    frontier.push(
+        {lane_bound[lane], lanes[lane].tree->root(), lane, order++, remaining});
     ++stats.heap_pushes;
   }
   // Lanes whose root gets expanded; the rest were pruned whole.
@@ -591,18 +595,18 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
   // is only ever read back as a count — children filter from their own
   // (deeper) level down, and the bound uses counts — so that level is
   // counted without a stored mask; in particular leaves (level m) store no
-  // masks at all.
-  auto materialize = [&](const TreeNodeView& node, const Remaining& parent) {
-    Remaining* own = pool.Acquire();
-    own->base = node.level + 1;
-    own->refs = 1;
-    own->counts = parent.counts;
-    own->words.assign(word_prefix[m] - word_prefix[own->base - 1], 0);
+  // masks at all. Both handles must be live; `own` receives the result.
+  auto materialize = [&](const TreeNodeView& node, uint32_t parent,
+                         uint32_t own) {
+    const uint32_t* parent_counts = arena.counts(parent);
+    const uint64_t* parent_masks = arena.masks(parent);
+    uint32_t* own_counts = arena.counts(own);
+    uint64_t* own_masks = arena.masks(own);
+    std::copy_n(parent_counts, node.level - 1, own_counts);
     const bool full_mode = !node.full_sig.empty();
     const uint64_t value = node.value;
     for (Level l = node.level; l <= m; ++l) {
-      const uint64_t* src = parent.words.data() + word_prefix[l - 1] -
-                            word_prefix[parent.base - 1];
+      const uint64_t* src = parent_masks + word_prefix[l - 1];
       const size_t n_l = q_sizes[l - 1];
       const uint64_t* table = hash_table[l - 1].data();
       // In the default routing mode one contiguous column decides
@@ -646,8 +650,7 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
           }
         }
       } else {
-        uint64_t* dst = own->words.data() + word_prefix[l - 1] -
-                        word_prefix[own->base - 1];
+        uint64_t* dst = own_masks + word_prefix[l - 1];
         for (size_t w = 0; w < word_count[l - 1]; ++w) {
           uint64_t bits = src[w];
           uint64_t out = 0;
@@ -666,9 +669,8 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
           count += static_cast<uint32_t>(std::popcount(out));
         }
       }
-      own->counts[l - 1] = count;
+      own_counts[l - 1] = count;
     }
-    return own;
   };
 
   const double slack = 1.0 + options.approximation_epsilon;
@@ -695,30 +697,27 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
     const ScoredEntity& kth = heap.Min();
     if (shared->Offer(kth.score, kth.entity)) ++stats.threshold_updates;
   };
-  // Zone-map bound (paged lanes only): an admissible bound on an
-  // unmaterialized entry computed from resident data alone. The zone gives
-  // the node's exact (level, routing) plus a value FLOOR <= its true
+  // Zone-map bound (paged lanes only): an admissible bound on a child
+  // computed from resident data alone, before its node is read. The zone
+  // gives the node's exact (level, routing) plus a value FLOOR <= its true
   // value, so running materialize's filter count-only at the floor keeps a
   // superset of the cells the node's own filter keeps: every count
   // dominates the node's true tightened count pointwise (levels below the
   // node's keep the parent's counts, exactly as materialize does), and
-  // UpperBound is monotone in the counts. An entry rejected because the
+  // UpperBound is monotone in the counts. A child rejected because the
   // certified k-th *strictly* dominates this bound therefore also has its
-  // true tightened bound strictly dominated: in the oracle traversal it
-  // would either strand in the frontier or trigger termination without
-  // ever being visited — either way it contributes no candidate and no
-  // visit, so dropping it leaves the canonical result set, entities
-  // checked, and nodes visited identical; only its page fault (and the
-  // strand's heap re-push) disappear.
+  // true tightened bound strictly dominated, so the in-memory walk would
+  // not push it either: dropping it leaves every search counter identical,
+  // and only its page fault disappears.
   std::vector<uint32_t> zone_counts(m);
-  const auto zone_bound = [&](const TreeNodeZone& zone,
-                              const Remaining& parent) {
+  const auto zone_bound = [&](const TreeNodeZone& zone, uint32_t parent) {
+    const uint32_t* parent_counts = arena.counts(parent);
+    const uint64_t* parent_masks = arena.masks(parent);
     const Level first = std::max<Level>(zone.level, 1);
-    for (Level l = 1; l < first; ++l) zone_counts[l - 1] = parent.counts[l - 1];
+    std::copy_n(parent_counts, first - 1, zone_counts.begin());
     const uint64_t floor = zone.value_floor;
     for (Level l = first; l <= m; ++l) {
-      const uint64_t* src = parent.words.data() + word_prefix[l - 1] -
-                            word_prefix[parent.base - 1];
+      const uint64_t* src = parent_masks + word_prefix[l - 1];
       const size_t n_l = q_sizes[l - 1];
       const uint64_t* col =
           hash_table[l - 1].data() + static_cast<size_t>(zone.routing) * n_l;
@@ -750,8 +749,10 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
   // above read the query's own record, so an error latched there means the
   // search never starts.
   Status search_status = cursor->status();
-  bool terminated = false;
-  while (!terminated && search_status.ok() && !frontier.empty()) {
+  // Expanded node's child ids: a paged cursor's next Node() call invalidates
+  // the parent's view, so the list is copied before any child is read.
+  static thread_local std::vector<uint32_t> children;
+  while (search_status.ok() && !frontier.empty()) {
     FrontierEntry entry = frontier.top();
     frontier.pop();
     // Early termination (Sec. 5.1): the certified k-th score *strictly*
@@ -761,59 +762,22 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
     // that tie it, and those must be evaluated so the heap's total order
     // (score desc, entity id asc) — the same order the sharded top-k merge
     // uses — picks the same entities regardless of traversal order, shard
-    // count, or partition. Stranded entries' refs are reclaimed by the
-    // pool's Reset at the next query on this thread.
+    // count, or partition. Stranded entries' slots are reclaimed by the
+    // arena's Reset at the next query on this thread.
     if (dominated(entry.ub)) break;
+    TreeNodeCursor& tree_cursor = *node_cursors[entry.lane];
+    TreeNodeView node = tree_cursor.Node(entry.node);
+    if (!tree_cursor.status().ok()) {
+      // Unrecoverable node page: the view is empty, nothing to expand.
+      search_status.Update(tree_cursor.status());
+      break;
+    }
 
     // Inner loop: chain fusion. The trees are thin near the leaves (long
-    // single-child chains), and a lazily-pushed only-child re-enters the
-    // frontier with exactly its parent's bound — the bound it was just
-    // popped at — so the round-trip through the heap is pure overhead.
-    // An only-child instead continues here directly (the parent's
-    // Remaining ref transfers to it); the yield rule after materialization
-    // is unchanged, so anything that no longer leads still returns to the
-    // frontier.
+    // single-child chains); an only child whose tightened bound no frontier
+    // entry beats would be popped straight back, so it is expanded here
+    // directly, reusing the view just read to bound it.
     while (true) {
-      TreeNodeCursor& tree_cursor = *node_cursors[entry.lane];
-      if (!entry.materialized) {
-        // Zone-map gate: reject from the resident zone bound before
-        // faulting the node in. Only unmaterialized entries are gated — a
-        // materialized entry carries its own tighter bound and has already
-        // paid the fault, so the dominated(entry.ub) checks cover it.
-        if (const auto zone = tree_cursor.Zone(entry.node)) {
-          if (dominated(zone_bound(*zone, *entry.remaining))) {
-            pool.Release(entry.remaining);
-            break;
-          }
-        }
-      }
-      const TreeNodeView node = tree_cursor.Node(entry.node);
-      if (!tree_cursor.status().ok()) {
-        // Unrecoverable node page: the view is empty, nothing to expand.
-        search_status.Update(tree_cursor.status());
-        pool.Release(entry.remaining);
-        break;
-      }
-      if (!entry.materialized) {
-        Remaining* own = materialize(node, *entry.remaining);
-        pool.Release(entry.remaining);  // drop the ref on the parent
-        entry.remaining = own;
-        entry.materialized = true;
-        const double ub = std::min(
-            entry.ub, measure.UpperBound(q_sizes, entry.remaining->counts));
-        entry.ub = ub;
-        // If the tightened bound no longer leads, yield the pop.
-        if (!frontier.empty() && frontier.top().ub > ub) {
-          entry.order = order++;
-          frontier.push(entry);
-          ++stats.heap_pushes;
-          break;
-        }
-        if (dominated(ub)) {
-          terminated = true;
-          break;
-        }
-      }
       ++stats.nodes_visited;
       lane_expanded[entry.lane] = 1;
 
@@ -826,35 +790,49 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
                        options, lane_cursor(entry.lane), heap, stats, scratch,
                        search_status);
         publish_kth();
-        pool.Release(entry.remaining);
+        arena.Release(entry.remaining);
         break;
       }
 
-      // Inner node: push children lazily with the parent's bound (Lines
-      // 7-8). A child's bound can only tighten below the parent's, so once
-      // the k-th best score strictly dominates the parent bound the
-      // children can never win (nor tie) — skipping the push keeps results
-      // identical and saves the heap traffic of entries the termination
-      // rule would strand in the frontier. Mirrors the strict termination
-      // rule above.
-      if (dominated(entry.ub)) {
-        pool.Release(entry.remaining);
-        break;
-      }
-      if (node.children.size() == 1) {
-        // Fused descent: the ref on entry.remaining transfers to the child.
-        entry = {entry.ub, node.children[0], entry.lane, order++,
-                 /*materialized=*/false, entry.remaining};
-        continue;
-      }
-      for (uint32_t child_idx : node.children) {
-        pool.AddRef(entry.remaining);
-        frontier.push({entry.ub, child_idx, entry.lane, order++,
-                       /*materialized=*/false, entry.remaining});
+      // Inner node (Lines 7-8): bound every child from its own filter and
+      // push only those the certified k-th score does not strictly
+      // dominate — the same strict rule as termination, so a dropped child
+      // could never win (nor tie).
+      children.assign(node.children.begin(), node.children.end());
+      bool fused = false;
+      for (const uint32_t child : children) {
+        if (const auto zone = tree_cursor.Zone(child)) {
+          if (dominated(zone_bound(*zone, entry.remaining))) continue;
+        }
+        const TreeNodeView child_node = tree_cursor.Node(child);
+        if (!tree_cursor.status().ok()) {
+          search_status.Update(tree_cursor.status());
+          break;
+        }
+        const uint32_t own = arena.Acquire();
+        materialize(child_node, entry.remaining, own);
+        const std::span<const uint32_t> counts(arena.counts(own), m);
+        const double ub =
+            std::min(entry.ub, measure.UpperBound(q_sizes, counts));
+        if (dominated(ub)) {
+          arena.Release(own);
+          continue;
+        }
+        if (children.size() == 1 &&
+            (frontier.empty() || frontier.top().ub <= ub)) {
+          arena.Release(entry.remaining);
+          entry = {ub, child, entry.lane, entry.order, own};
+          node = child_node;
+          fused = true;
+          break;
+        }
+        frontier.push({ub, child, entry.lane, order++, own});
         ++stats.heap_pushes;
       }
-      pool.Release(entry.remaining);
-      break;
+      if (!fused) {
+        arena.Release(entry.remaining);
+        break;
+      }
     }
   }
 

@@ -22,8 +22,15 @@ namespace dtrace {
 /// association degree was computed — lower is better. Degenerate inputs
 /// (|E| = 0, k >= |E|) clamp to 0 instead of producing NaN/negative values.
 struct QueryStats {
-  uint64_t nodes_visited = 0;     // frontier pops
+  /// Node expansions: every node whose children were bounded or whose
+  /// members were evaluated, including the single-child descents the search
+  /// takes without a frontier round-trip — so not the number of pops.
+  uint64_t nodes_visited = 0;
   uint64_t entities_checked = 0;  // exact deg evaluations
+  /// Frontier insertions: one per lane root plus one per child whose own
+  /// tightened bound survived the certified k-th score. A node enters the
+  /// frontier at most once, and no backend pushes a dominated child, so the
+  /// count is the same over heap nodes and paged trees.
   uint64_t heap_pushes = 0;
   // Cell-hash evaluations performed for filtering. Since the per-query hash
   // table, these happen once up front (|query cells| * nh); node filtering

@@ -277,8 +277,9 @@ TEST(PagedMinSigTreeTest, QueryManyTreeIoTotalsDeterministicAcrossThreads) {
 TEST(PagedMinSigTreeTest, ZoneMapsReduceTreePagesRead) {
   // The acceptance experiment: the same index packed with and without zone
   // maps, behind a deliberately tiny pool so every avoided node fault is a
-  // avoided disk read. Zone maps must (a) change no answer and (b) strictly
-  // reduce the summed tree_pages_read.
+  // avoided disk read. Zone maps must (a) change no answer nor any search
+  // counter — a rejected child is one the in-memory walk would not push
+  // either — and (b) strictly reduce the summed tree_pages_read.
   const Dataset d = MakeSynDataset(800, /*seed=*/47);
   const IndexOptions iopts{.num_functions = 96, .seed = 17};
   const auto plain = DigitalTraceIndex::Build(d.store, iopts);
@@ -302,6 +303,12 @@ TEST(PagedMinSigTreeTest, ZoneMapsReduceTreePagesRead) {
     const TopKResult b = without_zones.Query(q, 10, measure);
     ExpectIdentical(expected, a, "zone maps on");
     ExpectIdentical(expected, b, "zone maps off");
+    for (const TopKResult* paged : {&a, &b}) {
+      EXPECT_EQ(expected.stats.nodes_visited, paged->stats.nodes_visited);
+      EXPECT_EQ(expected.stats.entities_checked,
+                paged->stats.entities_checked);
+      EXPECT_EQ(expected.stats.heap_pushes, paged->stats.heap_pushes);
+    }
     reads_with += a.stats.io.tree_pages_read;
     reads_without += b.stats.io.tree_pages_read;
     visited_with += a.stats.nodes_visited;

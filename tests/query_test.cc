@@ -8,6 +8,8 @@
 #include <memory>
 
 #include "core/index.h"
+#include "exp/harness.h"
+#include "exp/presets.h"
 #include "mobility/hierarchy_generator.h"
 #include "trace/trace_store.h"
 #include "util/rng.h"
@@ -189,6 +191,37 @@ TEST(QueryTest, AccessHookSeesEveryCheckedEntity) {
   qopts.access_hook = [&](EntityId) { ++hook_calls; };
   const TopKResult r = index.Query(2, 5, measure, qopts);
   EXPECT_EQ(hook_calls, r.stats.entities_checked);
+}
+
+TEST(QueryTest, EagerChildBoundsKeepTheVisitSequence) {
+  // Pins the best-first walk on a seeded preset. The summed totals were
+  // recorded from the search that pushed each child with its parent's bound
+  // and tightened it on pop; bounding children when their parent expands
+  // must visit the same nodes and check the same entities, while pushing
+  // only children whose own bound survives.
+  constexpr uint64_t kVisited = 27696;
+  constexpr uint64_t kChecked = 15416;
+  constexpr uint64_t kLazyPushes = 56690;
+  const Dataset d = MakeSynDataset(1500, /*seed=*/61);
+  const auto index =
+      DigitalTraceIndex::Build(d.store, {.num_functions = 64, .seed = 17});
+  PolynomialLevelMeasure measure(d.hierarchy->num_levels());
+  uint64_t visited = 0, checked = 0, pushes = 0;
+  for (EntityId q : SampleQueries(*d.store, 20, /*seed=*/0x5EED)) {
+    const TopKResult fast = index.Query(q, 10, measure);
+    const TopKResult slow = index.BruteForce(q, 10, measure);
+    ASSERT_EQ(fast.items.size(), slow.items.size()) << "query " << q;
+    for (size_t i = 0; i < fast.items.size(); ++i) {
+      EXPECT_EQ(fast.items[i].entity, slow.items[i].entity) << "query " << q;
+      EXPECT_EQ(fast.items[i].score, slow.items[i].score) << "query " << q;
+    }
+    visited += fast.stats.nodes_visited;
+    checked += fast.stats.entities_checked;
+    pushes += fast.stats.heap_pushes;
+  }
+  EXPECT_EQ(visited, kVisited);
+  EXPECT_EQ(checked, kChecked);
+  EXPECT_LT(pushes, kLazyPushes);
 }
 
 TEST(QueryTest, EmptyTraceQueryScoresZero) {

@@ -497,11 +497,7 @@ TEST(ShardedDifferentialTest, PagedTreesMatchOracleAcrossConfigurations) {
   // configuration: with each shard's tree served from pages, the whole
   // CheckAgainstOracle grid — shard counts, fan-out thread counts, routing
   // off and on — must still reproduce the in-memory-tree oracle bit for
-  // bit, including the routed runs' monotone entities_checked. Note that
-  // heap_pushes is deliberately compared nowhere in this file: a zone-map
-  // rejection elides a stranded re-push the in-memory walk performs, so
-  // that counter legitimately differs while results, entities_checked and
-  // nodes_visited stay identical (DESIGN-paged-index.md).
+  // bit, including the routed runs' monotone entities_checked.
   World w(500, /*data_seed=*/97, Range(0, 500));
   for (auto& sharded : w.sharded) sharded->EnablePagedTrees();
   CheckAgainstOracle(w, MakePlans(w, 8, /*seed=*/301));
@@ -509,11 +505,12 @@ TEST(ShardedDifferentialTest, PagedTreesMatchOracleAcrossConfigurations) {
 
 TEST(ShardedDifferentialTest, PagedOracleKeepsSearchCountersExact) {
   // Paging the single-tree oracle itself must be invisible to the search
-  // proper: answers, entities_checked and nodes_visited all match the
-  // in-memory tree exactly, for both page-store backings. (The zone-map
-  // gate only ever rejects entries the in-memory walk would discard from
-  // their true bound at the same pop — the admissibility argument in
-  // DESIGN-paged-index.md — so the visit sequence is unchanged.)
+  // proper: answers, entities_checked, nodes_visited and heap_pushes all
+  // match the in-memory tree exactly, for both page-store backings. (The
+  // zone-map gate only ever rejects children the in-memory walk would drop
+  // from their true bound at the same expansion — the admissibility
+  // argument in DESIGN-paged-index.md — so the visit sequence and the
+  // pushed set are unchanged.)
   World w(500, /*data_seed=*/97, Range(0, 500));
   PolynomialLevelMeasure measure(w.dataset.hierarchy->num_levels());
   const auto plans = MakePlans(w, 8, /*seed=*/305);
@@ -534,6 +531,7 @@ TEST(ShardedDifferentialTest, PagedOracleKeepsSearchCountersExact) {
       EXPECT_EQ(expected[i].stats.entities_checked,
                 actual.stats.entities_checked);
       EXPECT_EQ(expected[i].stats.nodes_visited, actual.stats.nodes_visited);
+      EXPECT_EQ(expected[i].stats.heap_pushes, actual.stats.heap_pushes);
       EXPECT_GT(actual.stats.io.tree_pages_read + actual.stats.io.tree_page_hits,
                 0u)
           << "paged tree charged no pins?";
@@ -759,6 +757,7 @@ TEST(ShardedDifferentialTest, CompressedPagedTreesKeepSearchCountersExact) {
       EXPECT_EQ(expected[i].stats.entities_checked,
                 actual.stats.entities_checked);
       EXPECT_EQ(expected[i].stats.nodes_visited, actual.stats.nodes_visited);
+      EXPECT_EQ(expected[i].stats.heap_pushes, actual.stats.heap_pushes);
       EXPECT_GT(actual.stats.io.tree_pages_read + actual.stats.io.tree_page_hits,
                 0u);
     }

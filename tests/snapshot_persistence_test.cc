@@ -197,18 +197,39 @@ void RunShardedCell(int num_shards, bool compress, bool paged) {
   PolynomialLevelMeasure measure(dataset.hierarchy->num_levels());
   const auto queries = SampleQueries(*dataset.store, 4, 0xCAFE);
   // Both fan-out paths: the routed one additionally proves the coarse
-  // router state survived (same shards pruned on both sides).
+  // router state survived (same shards pruned on both sides). Counters are
+  // compared on the serial forest walk (shard_threads = 1): the concurrent
+  // routed fan-out's counters depend on the order shards raise the shared
+  // watermark, which varies from run to run, so it is compared on items
+  // only below. The unrouted fan-out's per-shard searches are independent,
+  // so its counters are deterministic at any thread count.
   for (const bool routed : {false, true}) {
     QueryOptions opts;
     opts.cross_shard_routing = routed;
+    const int shard_threads = routed ? 1 : 0;
     ExpectBitIdentical(
         queries,
-        [&](EntityId q) { return index.Query(q, kTopK, measure, opts); },
         [&](EntityId q) {
-          return loaded.index->Query(q, kTopK, measure, opts);
+          return index.Query(q, kTopK, measure, opts, shard_threads);
+        },
+        [&](EntityId q) {
+          return loaded.index->Query(q, kTopK, measure, opts, shard_threads);
         },
         routed ? "sharded routed" : "sharded unrouted");
     if (::testing::Test::HasFatalFailure()) return;
+  }
+  QueryOptions concurrent;
+  concurrent.cross_shard_routing = true;
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const TopKResult ra = index.Query(queries[qi], kTopK, measure, concurrent,
+                                      /*shard_threads=*/0);
+    const TopKResult rb = loaded.index->Query(queries[qi], kTopK, measure,
+                                              concurrent, /*shard_threads=*/0);
+    ASSERT_TRUE(ra.status.ok()) << ra.status.message();
+    ASSERT_TRUE(rb.status.ok()) << rb.status.message();
+    EXPECT_TRUE(SameItems(ra.items, rb.items))
+        << "sharded routed concurrent query " << qi << ": original"
+        << DescribeItems(ra.items) << " vs loaded" << DescribeItems(rb.items);
   }
   // QueryMany batches through the same versioned pins.
   const auto batch_a = index.QueryMany(queries, kTopK, measure);
