@@ -4,7 +4,7 @@
 // Two modes:
 //   bench_scalability                 — the in-memory |E| sweep (default)
 //   bench_scalability --disk [|E|] [--workers N] [--prefetch D] [--shards S]
-//                     [--route] [--compress] [--no-checksums] [--queries Q]
+//                     [--compress] [--no-checksums] [--queries Q]
 //                     [--writer-threads W]
 //       — the disk-resident preset: traces an order of magnitude past the
 //       laptop presets, served from the paged storage substrate through
@@ -12,12 +12,10 @@
 //       queries batched through QueryMany on N workers (0 = auto) with a
 //       leaf-prefetch lookahead of D records (0 = off). With --shards S > 1
 //       the index is a ShardedIndex: S MinSigTrees over a stable-hash
-//       entity partition, per-(query, shard) fan-out and a deterministic
-//       top-k merge — bit-identical answers (tests/sharded_differential_
-//       test.cc), measured here for throughput. --route turns on the
-//       cross-shard pruning layer (coarse router + threshold propagation,
-//       DESIGN-sharding.md) — still bit-identical, but late shards stop
-//       re-checking candidates the global k-th score already beats.
+//       entity partition, each query one forest walk over per-shard lanes
+//       capped by the coarse router (DESIGN-sharding.md) — bit-identical
+//       answers (tests/sharded_differential_test.cc), measured here for
+//       throughput.
 //       --compress stores the trace pages delta-packed (util/codec.h):
 //       fewer pages for the same pool fraction, bit-identical answers,
 //       and compressed_bytes/raw_bytes counters in the JSON emission.
@@ -35,8 +33,8 @@
 //       reader_blocked_ns, writer_blocked_ns and writer_ops counters
 //       (informational in check_regression.py).
 //       Registered with CTest so the concurrent storage-backed path is
-//       exercised at scale on every run (plus Release-only 100K x 4-shard
-//       and routed 20K presets). Emits a "counters" section
+//       exercised at scale on every run (plus a Release-only 100K x
+//       4-shard preset). Emits a "counters" section
 //       (lock_wait_seconds, prefetch_hits, shards_pruned, ...) alongside
 //       the rows.
 //   bench_scalability --snapshot [|E|] [--workers N] [--shards S]
@@ -107,8 +105,8 @@ void Run(BenchJson& json) {
 }
 
 void RunDisk(uint32_t entities, int workers, int prefetch, int shards,
-             bool route, bool compress, bool verify_checksums,
-             size_t num_queries, int writer_threads, BenchJson& json) {
+             bool compress, bool verify_checksums, size_t num_queries,
+             int writer_threads, BenchJson& json) {
   PrintHeader("Scalability (disk-resident)",
               "storage-backed queries past the laptop presets");
   Dataset d = MakeDiskResidentDataset(entities);
@@ -144,7 +142,6 @@ void RunDisk(uint32_t entities, int workers, int prefetch, int shards,
   QueryOptions qopts;
   qopts.trace_source = &src;
   qopts.prefetch_depth = prefetch;
-  qopts.cross_shard_routing = route;
 
   // Mixed leg: churn threads remove/re-insert through the epoch-versioned
   // commit path while the timed batch runs. Paged tree snapshots are
@@ -199,7 +196,7 @@ void RunDisk(uint32_t entities, int workers, int prefetch, int shards,
 
   std::printf(
       "|E|=%u pages=%zu pool_fraction=%.2f pool_shards=%zu index_shards=%d "
-      "workers=%d prefetch=%d route=%d compress=%d (%.0f%% of raw) "
+      "workers=%d prefetch=%d compress=%d (%.0f%% of raw) "
       "writer_threads=%d writer_ops=%llu snapshot_publishes=%llu "
       "reader_blocked_ms=%.2f writer_blocked_ms=%.2f "
       "index_s=%.2f\n"
@@ -208,8 +205,7 @@ void RunDisk(uint32_t entities, int workers, int prefetch, int shards,
       "shards_pruned/query=%.1f threshold_updates/query=%.1f "
       "qps=%.1f (wall, excl. modeled I/O %.2fs/query)\n",
       d.num_entities(), src.num_pages(), opts.pool_fraction,
-      src.pool_shards(), shards, workers, prefetch, route ? 1 : 0,
-      compress ? 1 : 0,
+      src.pool_shards(), shards, workers, prefetch, compress ? 1 : 0,
       100.0 * static_cast<double>(src.data_bytes()) /
           static_cast<double>(src.raw_bytes()),
       writer_threads,
@@ -226,10 +222,9 @@ void RunDisk(uint32_t entities, int workers, int prefetch, int shards,
       .Int("workers", static_cast<uint64_t>(workers))
       .Int("prefetch_depth", static_cast<uint64_t>(prefetch))
       // Informational, not a baseline match key (check_regression.py lists
-      // "shards" and "routing" as measurement fields), so sharded/routed
-      // runs gate directly against the single-shard baseline rows.
+      // "shards" as a measurement field), so sharded runs gate directly
+      // against the single-shard baseline rows.
       .Int("shards", static_cast<uint64_t>(shards))
-      .Int("routing", route ? 1 : 0)
       .Int("compressed", compress ? 1 : 0)
       .Int("checksums", verify_checksums ? 1 : 0)
       // Informational like "shards": mixed-leg rows gate against the same
@@ -485,7 +480,7 @@ void RunPagedTree(uint32_t entities, int workers, double pool_fraction,
       .Str("mode", "paged-tree")
       .Int("entities", d.num_entities())
       .Int("workers", static_cast<uint64_t>(workers))
-      // Informational like "shards"/"routing": not a baseline match key.
+      // Informational like "shards": not a baseline match key.
       .Int("paged_tree", 1)
       .Int("compressed", compress ? 1 : 0)
       .Num("pe", pe.mean_pe)
@@ -515,7 +510,6 @@ int main(int argc, char** argv) {
     int workers = 0;
     int prefetch = 0;
     int shards = 1;
-    bool route = false;
     bool compress = false;
     bool verify_checksums = true;
     size_t num_queries = 8;
@@ -526,9 +520,7 @@ int main(int argc, char** argv) {
       ++pos;
     }
     for (; pos < argc; ++pos) {
-      if (std::strcmp(argv[pos], "--route") == 0) {
-        route = true;
-      } else if (std::strcmp(argv[pos], "--compress") == 0) {
+      if (std::strcmp(argv[pos], "--compress") == 0) {
         compress = true;
       } else if (std::strcmp(argv[pos], "--no-checksums") == 0) {
         verify_checksums = false;
@@ -546,9 +538,9 @@ int main(int argc, char** argv) {
         writer_threads = std::atoi(argv[++pos]);
       }
     }
-    dtrace::bench::RunDisk(entities, workers, prefetch, shards, route,
-                           compress, verify_checksums, num_queries,
-                           writer_threads, json);
+    dtrace::bench::RunDisk(entities, workers, prefetch, shards, compress,
+                           verify_checksums, num_queries, writer_threads,
+                           json);
   } else if (argc > 1 && std::strcmp(argv[1], "--snapshot") == 0) {
     uint32_t entities = 20000;
     int workers = 0;

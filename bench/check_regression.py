@@ -24,13 +24,12 @@ import json
 import sys
 
 # Fields that carry measurements rather than identity; everything else in a
-# row is treated as a match key. "shards", "routing", "paged_tree",
-# "compressed" and "writer_threads" are informational-only by design:
-# sharded/routed/paged-tree/compressed/mixed runs must gate directly against
-# the corresponding plain baseline rows (each of those layers is required to
-# be answer-identical, and sharding/routing/compression also at least
-# qps-neutral; the mixed reads-during-writes leg gates with a looser floor
-# set in CI).
+# row is treated as a match key. "shards", "paged_tree", "compressed" and
+# "writer_threads" are informational-only by design: sharded/paged-tree/
+# compressed/mixed runs must gate directly against the corresponding plain
+# baseline rows (each of those layers is required to be answer-identical,
+# and sharding/compression also at least qps-neutral; the mixed
+# reads-during-writes leg gates with a looser floor set in CI).
 MEASUREMENT_FIELDS = {
     "queries_per_sec",
     "pe",
@@ -40,7 +39,6 @@ MEASUREMENT_FIELDS = {
     "index_seconds",
     "modeled_ms_per_query",
     "shards",
-    "routing",
     "paged_tree",
     "compressed",
     "checksums",

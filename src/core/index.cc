@@ -133,14 +133,18 @@ void DigitalTraceIndex::PublishFreshSnapshot() const {
   cc_->snapshot_publishes.fetch_add(1, std::memory_order_relaxed);
 }
 
-void DigitalTraceIndex::RepairSnapshot(const PagedMinSigTree* damaged) const {
+uint64_t DigitalTraceIndex::QuarantineDamagedPages(const ReadPin& pin) const {
+  const PagedMinSigTree* damaged = pin.snapshot();
+  if (damaged == nullptr) return 0;
+  const uint64_t quarantined = damaged->TakeCorruptObserved();
+  if (quarantined == 0) return 0;
   const std::lock_guard<std::mutex> pack(cc_->pack_mu);
-  if (!cc_->paged_enabled.load(std::memory_order_relaxed)) return;
+  if (!cc_->paged_enabled.load(std::memory_order_relaxed)) return quarantined;
   {
     const std::lock_guard<std::mutex> lock(cc_->head_mu);
     // A concurrent publish (maintenance commit, or another reader's repair)
     // already retired the damaged snapshot — its replacement is fresh.
-    if (cc_->head.get() != damaged) return;
+    if (cc_->head.get() != damaged) return quarantined;
   }
   RWLatch::ReadGuard tree_guard(cc_->latch);
   const uint64_t revision = cc_->revision.load(std::memory_order_acquire);
@@ -154,6 +158,7 @@ void DigitalTraceIndex::RepairSnapshot(const PagedMinSigTree* damaged) const {
   }
   cc_->packed_revision = revision;
   cc_->snapshot_publishes.fetch_add(1, std::memory_order_relaxed);
+  return quarantined;
 }
 
 void DigitalTraceIndex::CommitMutation(const std::function<void()>& mutate) {
@@ -237,36 +242,27 @@ DigitalTraceIndex::ConcurrencyStats DigitalTraceIndex::concurrency_stats()
 TopKResult DigitalTraceIndex::Query(EntityId q, int k,
                                     const AssociationMeasure& measure,
                                     const QueryOptions& options) const {
-  uint64_t quarantined = 0;
-  {
-    const ReadPin pin = PinForRead();
+  const auto search = [&](const ReadPin& pin) {
     // Read traces as of the pin: a ReplaceEntity commit landing after the
     // pin must not leak its new trace into a search walking the old tree.
     QueryOptions pinned = options;
     pinned.trace_as_of = pin.version();
     TopKQueryProcessor proc(pin.tree(), PickSource(options, *store_),
                             *hasher_, measure);
-    TopKResult result = proc.Query(q, k, pinned);
-    if (result.status.ok() || pin.snapshot() == nullptr) return result;
-    // Graceful degradation (DESIGN-storage.md "Fault model and integrity"):
-    // if the failure involved unrecoverable PAGED-TREE pages, the snapshot
-    // itself is damaged — but the in-memory tree is authoritative, so the
-    // damaged pages can be quarantined by repacking the snapshot onto fresh
-    // pages and retrying once. Trace-side errors (nothing observed on the
-    // tree) have no authoritative copy to repair from and return as-is.
-    quarantined = pin.snapshot()->TakeCorruptObserved();
+    return proc.Query(q, k, pinned);
+  };
+  uint64_t quarantined = 0;
+  {
+    const ReadPin pin = PinForRead();
+    TopKResult result = search(pin);
+    if (result.status.ok()) return result;
+    quarantined = QuarantineDamagedPages(pin);
     if (quarantined == 0) return result;
-    RepairSnapshot(pin.snapshot());
   }  // drop the damaged pin so the retry re-pins the repaired snapshot
   // The retry is single-shot: if the fault schedule damages the fresh pages
   // too (e.g. a sticky-read page among the new allocations), the clean
   // error surfaces to the caller.
-  const ReadPin pin = PinForRead();
-  QueryOptions pinned = options;
-  pinned.trace_as_of = pin.version();
-  TopKQueryProcessor proc(pin.tree(), PickSource(options, *store_), *hasher_,
-                          measure);
-  TopKResult retry = proc.Query(q, k, pinned);
+  TopKResult retry = search(PinForRead());
   retry.stats.pages_quarantined += quarantined;
   return retry;
 }

@@ -234,6 +234,17 @@ class DigitalTraceIndex {
   /// forest walk on stable per-shard views.
   ReadPin PinForRead() const;
 
+  /// Quarantine repair after a search on `pin` failed (DESIGN-storage.md
+  /// "Fault model and integrity"): drains the unrecoverable tree pages the
+  /// pinned snapshot observed and, if there were any, repacks the snapshot
+  /// from the authoritative in-memory tree onto fresh pages — unless a
+  /// concurrent publish already retired it. Returns the pages quarantined:
+  /// 0 for an in-memory pin, or for a failure that damaged no tree page
+  /// (trace-side errors have no authoritative copy to repair from). A
+  /// nonzero return means the caller should drop `pin`, re-pin, and retry
+  /// once; Query and the ShardedIndex lanes both do.
+  uint64_t QuarantineDamagedPages(const ReadPin& pin) const;
+
   /// Monotone count of committed mutations visible to new pins. Bracketing
   /// a query with version() reads bounds the commit prefix its pin
   /// observed: pin.version() lies in [before, after].
@@ -353,9 +364,6 @@ class DigitalTraceIndex {
   /// pack_mu across the pack — writers serialize here — and the read latch
   /// while reading the tree; readers keep pinning the old head throughout.
   void PublishFreshSnapshot() const;
-  /// Quarantine repair: repacks onto fresh pages after `damaged` observed
-  /// unrecoverable page corruption, unless it was already superseded.
-  void RepairSnapshot(const PagedMinSigTree* damaged) const;
   /// Advances the private fault disk's seed so a repack lands on a fresh
   /// fault schedule (under pack_mu).
   void AdvanceQuarantineSeedLocked() const;

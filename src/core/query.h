@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -36,13 +35,13 @@ struct QueryStats {
   // table, these happen once up front (|query cells| * nh); node filtering
   // itself is table lookups and charges nothing here.
   uint64_t hash_evals = 0;
-  /// Cross-shard pruning layer (core/sharded_index.h): whole shards skipped
-  /// by the coarse router because their population-wide upper bound could
-  /// not beat the certified global k-th score, coarse-router bound
-  /// evaluations performed (one per shard per routed query), and successful
-  /// raises of the shared k-th-score watermark by this search. All zero for
-  /// unrouted / single-index queries; MergeShardTopK sums them like the
-  /// other counters.
+  /// Sharded search lanes (core/sharded_index.h): lanes whose root was
+  /// never expanded because their coarse-signature bound could not beat the
+  /// certified k-th score, coarse-signature bound evaluations performed (one
+  /// per shard per query), and successful raises of the shared k-th-score
+  /// watermark by this search (concurrent lane schedule only). All zero for
+  /// single-index queries; MergeShardTopK sums them like the other
+  /// counters.
   uint64_t shards_pruned = 0;
   uint64_t router_bound_evals = 0;
   uint64_t threshold_updates = 0;
@@ -148,11 +147,9 @@ class CrossShardThreshold {
   EntityId best_entity_ = kInvalidEntity;
 };
 
-/// Hooks for instrumenting a query (e.g. routing candidate-trace reads
-/// through the paged storage substrate in the memory-size experiment).
+/// Per-query knobs: time window, approximation slack, the trace source
+/// candidates are read from, and evaluation parallelism.
 struct QueryOptions {
-  /// Invoked once per candidate entity right before its exact evaluation.
-  std::function<void(EntityId)> access_hook;
   /// When set, association degrees are computed over ST-cells inside the
   /// window only, for both the query and every candidate. Pruning stays
   /// exact: a node's pruned cells are absent from the candidates'
@@ -191,29 +188,19 @@ struct QueryOptions {
   /// synchronous path would, in the same order — only wall time improves.
   /// Ignored by in-memory sources.
   int prefetch_depth = 0;
-  /// Cross-shard pruning layer (read by ShardedIndex only; single-index
-  /// queries ignore it): route the shard fan-out through the coarse router
-  /// — shards visited best-bound-first, whole shards skipped when their
-  /// population-wide bound cannot beat the certified global k-th score —
-  /// and propagate that k-th score between shard searches through a shared
-  /// CrossShardThreshold. Results stay bit-identical to the unrouted
-  /// fan-out (and to the single-tree oracle); only QueryStats counters
-  /// shrink. The identity proof needs exact mode, so routing is ignored
-  /// when approximation_epsilon > 0 (the fan-out falls back to the
-  /// unrouted grid, whose approximate traversal is at least
-  /// run-deterministic). Off by default because counter/io accounting
-  /// becomes propagation-order-dependent when shards run concurrently
-  /// (QueryMany's routed path visits shards serially per query, so its
-  /// accounting stays deterministic across thread counts).
+  /// Selects nothing: every ShardedIndex query runs the routed forest-walk
+  /// lanes, and no code reads this field. It is declared only because
+  /// perfbench/perfbench.cc still assigns it; the next change to the
+  /// benchmark deletes both.
   bool cross_shard_routing = false;
-  /// Internal plumbing for the routed fan-out: when set, the search reads
-  /// this watermark to tighten early termination and the child-push guard,
-  /// and publishes its own k-th score after each leaf batch. Callers other
-  /// than ShardedIndex leave it null.
+  /// Internal plumbing for ShardedIndex's concurrent lane schedule: when
+  /// set, the search reads this watermark to tighten early termination and
+  /// the child-push guard, and publishes its own k-th score after each leaf
+  /// batch. Callers other than ShardedIndex leave it null.
   CrossShardThreshold* shared_threshold = nullptr;
 };
 
-/// One lane of a forest search (the routed ShardedIndex fan-out): a tree
+/// One lane of a forest search (one shard of a ShardedIndex query): a tree
 /// (an in-memory MinSigTree or its paged snapshot — any TreeSource) over a
 /// slice of the entity population, the source its
 /// candidate traces are read from, and the lane's population-wide coarse
@@ -251,7 +238,10 @@ struct SearchLane {
 /// lane's source (lanes sharing `query_source` reuse its cursor, so a
 /// 1-lane forest charges I/O exactly like TopKQueryProcessor::Query).
 /// Results are bit-identical to the single-tree search over the union
-/// population, by the same strict-termination tie canonicalization.
+/// population, by the same strict-termination tie canonicalization. With
+/// approximation slack the approximation_epsilon guarantee holds, also
+/// under a shared_threshold: every watermark offer is certified, so it
+/// never exceeds the final merged k-th score.
 /// QueryStats::shards_pruned counts lanes whose root was never expanded.
 TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
                            const TraceSource& query_source,

@@ -1,7 +1,5 @@
 #include "core/shard_router.h"
 
-#include <algorithm>
-
 #include "util/check.h"
 
 namespace dtrace {
@@ -49,59 +47,6 @@ std::vector<uint64_t> CoarseShardRouter::SnapshotSignature(int s) const {
   const size_t base = static_cast<size_t>(s) * nh_;
   for (int u = 0; u < nh_; ++u) out[u] = LoadSlot(base + u);
   return out;
-}
-
-void CoarseShardRouter::BuildProbe(TraceCursor& cursor, EntityId q,
-                                   const CellHasher& hasher, int num_levels,
-                                   TimeStep w0, TimeStep w1,
-                                   QueryProbe* probe) const {
-  DT_CHECK(hasher.num_functions() == nh_);
-  probe->q_sizes.assign(num_levels, 0);
-  probe->cell_hashes.resize(num_levels);
-  for (Level l = 1; l <= num_levels; ++l) {
-    const auto cells = cursor.CellsInWindow(q, l, w0, w1);
-    probe->q_sizes[l - 1] = static_cast<uint32_t>(cells.size());
-    auto& hashes = probe->cell_hashes[l - 1];
-    hashes.resize(cells.size() * static_cast<size_t>(nh_));
-    for (size_t i = 0; i < cells.size(); ++i) {
-      hasher.HashAll(l, cells[i], hashes.data() + i * nh_);
-    }
-  }
-}
-
-double CoarseShardRouter::ShardBound(int s, const QueryProbe& probe,
-                                     const AssociationMeasure& measure) const {
-  return ShardBound(SnapshotSignature(s), probe, measure);
-}
-
-double CoarseShardRouter::ShardBound(std::span<const uint64_t> sig,
-                                     const QueryProbe& probe,
-                                     const AssociationMeasure& measure) const {
-  DT_CHECK(static_cast<int>(sig.size()) == nh_);
-  const int m = static_cast<int>(probe.q_sizes.size());
-  // remaining[l-1] = query cells at level l that survive the shard's coarse
-  // signature — the per-level cap on any member's intersection with the
-  // query (a failing cell is absent from every member's unrestricted trace,
-  // hence from the windowed one too).
-  std::vector<uint32_t> remaining(m, 0);
-  for (int l0 = 0; l0 < m; ++l0) {
-    const auto& hashes = probe.cell_hashes[l0];
-    const size_t cells = probe.q_sizes[l0];
-    uint32_t count = 0;
-    for (size_t i = 0; i < cells; ++i) {
-      const uint64_t* h = hashes.data() + i * nh_;
-      bool survives = true;
-      for (int u = 0; u < nh_; ++u) {
-        if (h[u] < sig[u]) {
-          survives = false;
-          break;
-        }
-      }
-      count += survives ? 1 : 0;
-    }
-    remaining[l0] = count;
-  }
-  return measure.UpperBound(probe.q_sizes, remaining);
 }
 
 }  // namespace dtrace

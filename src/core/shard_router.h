@@ -6,11 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "core/association.h"
-#include "hash/cell_hasher.h"
-#include "trace/trace_source.h"
-#include "trace/types.h"
-
 namespace dtrace {
 
 /// The shared coarse routing level of a ShardedIndex (DESIGN-sharding.md):
@@ -28,9 +23,12 @@ namespace dtrace {
 /// Any cell failing the test is absent from every member's trace (Theorem 2
 /// with the shard as the group), so every member's per-level intersection
 /// with the query is capped by remaining_s and bound_s dominates every
-/// member's score (the Theorem 4 artificial-entity argument). The routed
-/// fan-out visits shards best-bound-first and skips a shard outright when
-/// the certified global k-th score strictly exceeds its bound.
+/// member's score (the Theorem 4 artificial-entity argument). Every
+/// ShardedIndex query hands each shard's signature to its search lane
+/// (core/query.h SearchLane), and ForestTopKQuery evaluates the bound off
+/// the per-query hash table it already built: the lane's root enters the
+/// frontier capped by it, so a shard whose bound the certified k-th score
+/// strictly beats is never expanded.
 ///
 /// Maintenance mirrors MinSigTree's convention: inserts and updates
 /// min-merge the new entity's level-1 signature in (values only ever
@@ -74,34 +72,6 @@ class CoarseShardRouter {
   }
   int num_shards() const { return num_shards_; }
   int num_functions() const { return nh_; }
-
-  /// The query side of every shard-bound evaluation, computed once per
-  /// routed query and reused across shards: the query's (windowed) per-level
-  /// cell counts and each cell's nh hash values.
-  struct QueryProbe {
-    std::vector<uint32_t> q_sizes;          // per level, length m
-    std::vector<std::vector<uint64_t>> cell_hashes;  // per level, cells x nh
-  };
-
-  /// Fills `probe` from the query's cells in [w0, w1) read through `cursor`
-  /// (callers pass a cursor on the in-memory store: cell contents are
-  /// identical across sources, and the router must not charge storage I/O).
-  void BuildProbe(TraceCursor& cursor, EntityId q, const CellHasher& hasher,
-                  int num_levels, TimeStep w0, TimeStep w1,
-                  QueryProbe* probe) const;
-
-  /// Admissible upper bound on the score of every entity in shard `s` for
-  /// the probed query, evaluated over the live slots (loaded once per
-  /// slot). Callers that must pair the bound with a pinned tree snapshot
-  /// pass an explicit SnapshotSignature copy to the overload below.
-  double ShardBound(int s, const QueryProbe& probe,
-                    const AssociationMeasure& measure) const;
-
-  /// Same bound over a caller-held signature (an nh-value
-  /// SnapshotSignature copy), so the evaluation and any admissibility
-  /// reasoning see one frozen signature.
-  double ShardBound(std::span<const uint64_t> sig, const QueryProbe& probe,
-                    const AssociationMeasure& measure) const;
 
  private:
   /// Relaxed atomic view of slot `i` — a plain vector element accessed via

@@ -1,7 +1,6 @@
 #include "core/sharded_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <mutex>
 #include <numeric>
 #include <utility>
@@ -157,115 +156,77 @@ ShardedIndex ShardedIndex::Build(std::shared_ptr<TraceStore> store,
   return sharded;
 }
 
-TopKResult ShardedIndex::RoutedFanOut(EntityId q, int k,
-                                      const AssociationMeasure& measure,
-                                      const QueryOptions& options,
-                                      int shard_threads) const {
+TopKResult ShardedIndex::SearchLanes(EntityId q, int k,
+                                     const AssociationMeasure& measure,
+                                     const QueryOptions& options, int workers,
+                                     uint64_t* quarantined) const {
   const size_t num_shards = shards_.size();
   const TraceSource* default_source =
       options.trace_source != nullptr ? options.trace_source : store_.get();
   DT_CHECK_MSG(default_source->num_entities() == store_->num_entities(),
                "trace_source describes a different dataset");
 
-  const int workers =
-      std::min<int>(ResolveThreadCount(shard_threads),
-                    static_cast<int>(num_shards));
-  if (workers <= 1) {
-    // Serial visit: search the whole forest as ONE best-first expansion
-    // (core/query.h ForestTopKQuery) — a single frontier over every shard
-    // tree, each root capped by its coarse-signature bound (derived inside
-    // the search from its own hash table, so the router costs no extra
-    // hashing), one global heap. This prunes exactly like the big single
-    // tree (late lanes never re-check candidates the global k-th already
-    // beats), builds the per-query filtering state once instead of once
-    // per shard, and keeps result AND counter/io accounting fully
-    // deterministic — which is why the routed QueryMany runs every query
-    // this way.
-    //
-    // Each lane is a ReadPin + a SnapshotSignature copy captured with a
-    // version handshake: version -> signature -> pin, accepted only when
-    // the pin still carries the pre-signature version. That pairing is
-    // what keeps the coarse bound admissible for the pinned tree — every
-    // entity the pin contains committed before the signature read (and its
-    // Absorb ran even earlier), and any Refresh raise the signature
-    // reflects refers to a tree state the pin includes. If a writer
-    // commits inside the handshake we retry, and after a few spins fall
-    // back to an all-zero signature (no pruning for that lane — always
-    // admissible) rather than spin against a hot writer.
-    std::vector<DigitalTraceIndex::ReadPin> pins;
-    pins.reserve(num_shards);
-    std::vector<std::vector<uint64_t>> coarse(num_shards);
-    std::vector<SearchLane> lanes(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      const int sid = static_cast<int>(s);
-      bool stable = false;
-      for (int attempt = 0; attempt < 4 && !stable; ++attempt) {
-        const uint64_t v = shards_[s]->version();
-        coarse[s] = router_.SnapshotSignature(sid);
-        auto pin = shards_[s]->PinForRead();
-        stable = pin.version() == v;
-        if (s < pins.size()) {
-          pins[s] = std::move(pin);
-        } else {
-          pins.push_back(std::move(pin));
-        }
-      }
-      if (!stable) std::fill(coarse[s].begin(), coarse[s].end(), 0);
-      // The lane reads candidate traces as of its own pin's version, so a
-      // ReplaceEntity committing into one shard mid-walk cannot leak its
-      // new trace into a lane pinned before it.
-      lanes[s] = {&pins[s].tree(),
-                  shard_sources_[s] != nullptr ? shard_sources_[s]
-                                               : default_source,
-                  coarse[s], pins[s].version()};
-    }
-    return ForestTopKQuery(lanes, *default_source, shards_[0]->hasher(),
-                           measure, q, k, options);
-  }
-  // Concurrent visit: independent per-shard searches coupled through a
-  // shared watermark — weaker pruning than the unified forest walk (each
-  // shard still pays its own warm-up and per-query state), but the shards
-  // overlap in wall time. Bounds come from a router probe (one hashing
-  // pass over the query's windowed cells, read from the in-memory store so
-  // no storage I/O is charged); shards are visited best-bound-first and
-  // skipped when the watermark strictly beats their bound.
-  const TimeStep w0 = options.time_window ? options.time_window->begin : 0;
-  const TimeStep w1 =
-      options.time_window ? options.time_window->end : store_->horizon();
-  CoarseShardRouter::QueryProbe probe;
-  const auto cursor = store_->OpenCursor();
-  router_.BuildProbe(*cursor, q, shards_[0]->hasher(),
-                     store_->hierarchy().num_levels(), w0, w1, &probe);
-  // Bounds are version-stamped: a shard may only be SKIPPED if its version
-  // still matches the pre-signature read at decision time (below), so a
-  // bound never prunes a tree state it was not computed against. Visiting
-  // a shard is always safe — per-shard search is exact.
-  std::vector<double> bounds(num_shards);
-  std::vector<uint64_t> bound_versions(num_shards);
+  // One lane per shard: a ReadPin + a SnapshotSignature copy captured with
+  // a version handshake — version -> signature -> pin, accepted only when
+  // the pin still carries the pre-signature version. That pairing is what
+  // keeps the coarse bound admissible for the pinned tree: every entity the
+  // pin contains committed before the signature read (and its Absorb ran
+  // even earlier), and any Refresh raise the signature reflects refers to a
+  // tree state the pin includes. If a writer commits inside the handshake
+  // we retry, and after a few spins fall back to an all-zero signature (no
+  // pruning for that lane — always admissible) rather than spin against a
+  // hot writer. Both schedules below search these same lanes.
+  std::vector<DigitalTraceIndex::ReadPin> pins;
+  pins.reserve(num_shards);
+  std::vector<std::vector<uint64_t>> coarse(num_shards);
+  std::vector<SearchLane> lanes(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    bound_versions[s] = shards_[s]->version();
-    bounds[s] = router_.ShardBound(router_.SnapshotSignature(static_cast<int>(s)),
-                                   probe, measure);
+    const int sid = static_cast<int>(s);
+    bool stable = false;
+    for (int attempt = 0; attempt < 4 && !stable; ++attempt) {
+      // Drop the unstable pin before re-pinning: a second read acquisition
+      // of an in-memory shard's latch would queue behind a waiting writer,
+      // which in turn waits for the first one — a deadlock.
+      if (s < pins.size()) pins.pop_back();
+      const uint64_t v = shards_[s]->version();
+      coarse[s] = router_.SnapshotSignature(sid);
+      pins.push_back(shards_[s]->PinForRead());
+      stable = pins[s].version() == v;
+    }
+    if (!stable) std::fill(coarse[s].begin(), coarse[s].end(), 0);
+    // The lane reads candidate traces as of its own pin's version, so a
+    // ReplaceEntity committing into one shard mid-search cannot leak its
+    // new trace into a lane pinned before it.
+    lanes[s] = {&pins[s].tree(),
+                shard_sources_[s] != nullptr ? shard_sources_[s]
+                                             : default_source,
+                coarse[s], pins[s].version()};
   }
-  std::vector<uint32_t> order(num_shards);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    if (bounds[a] != bounds[b]) return bounds[a] > bounds[b];
-    return a < b;
-  });
+
+  // The lanes split into `workers` contiguous groups, and each worker
+  // searches its group as ONE best-first expansion (core/query.h
+  // ForestTopKQuery): a single frontier over the group's lanes, each root
+  // capped by its coarse-signature bound, one heap. With one worker that is
+  // the whole forest — it prunes exactly like the big single tree (late
+  // lanes never re-check candidates the global k-th already beats), builds
+  // the per-query filtering state once, and keeps result AND counter/io
+  // accounting fully deterministic. With more, the groups overlap in wall
+  // time and couple through a shared watermark: a lane whose capped root
+  // the watermark already beats stops at its first pop (shards_pruned), and
+  // as groups complete, their items accumulate into a running merged top-k
+  // whose k-th entry certifies the strongest watermark available.
   CrossShardThreshold threshold;
-  std::vector<TopKResult> per_shard(num_shards);
-  std::atomic<uint64_t> shards_pruned{0};
-  // Running cross-shard merge: as shards complete, their exact top-k items
-  // accumulate into a bounded merged list whose k-th entry certifies the
-  // strongest watermark available — the merged k-th of every finished
-  // shard, which dominates any single shard's local k-th. This is what
-  // lets the third and fourth shard terminate almost as early as the big
-  // single tree would.
+  QueryOptions group_options = options;
+  if (workers > 1) group_options.shared_threshold = &threshold;
+  std::vector<TopKResult> per_group(num_shards);
   std::mutex merged_mu;
   std::vector<ScoredEntity> merged_topk;
-  const auto offer_merged = [&](const std::vector<ScoredEntity>& items) {
-    if (items.empty()) return;
+  ParallelFor(workers, num_shards, [&](size_t begin, size_t end) {
+    per_group[begin] =
+        ForestTopKQuery({lanes.data() + begin, end - begin}, *default_source,
+                        shards_[0]->hasher(), measure, q, k, group_options);
+    const std::vector<ScoredEntity>& items = per_group[begin].items;
+    if (workers <= 1 || items.empty()) return;
     const std::lock_guard<std::mutex> lock(merged_mu);
     merged_topk.insert(merged_topk.end(), items.begin(), items.end());
     std::sort(merged_topk.begin(), merged_topk.end(),
@@ -279,36 +240,14 @@ TopKResult ShardedIndex::RoutedFanOut(EntityId q, int k,
     if (merged_topk.size() == static_cast<size_t>(k)) {
       threshold.Offer(merged_topk.back().score, merged_topk.back().entity);
     }
-  };
-  // Workers claim shards in rank order (chunk 0 — the calling thread —
-  // takes the best-ranked shards). Only reached with more than one
-  // worker: the serial case returned above via the forest walk.
-  ParallelForEach(shard_threads, num_shards, [&](size_t rank) {
-    const uint32_t s = order[rank];
-    // Strict: a shard whose bound ties the watermark may hold tying
-    // candidates that win on entity id, so it is never skipped. (Routing
-    // only runs in exact mode, so no approximation slack applies here.)
-    // The version re-check downgrades a stale bound to "visit": if a
-    // writer committed into this shard since the bound's signature read,
-    // the bound may not be admissible for the tree the search would pin.
-    if (threshold.score() > bounds[s] &&
-        shards_[s]->version() == bound_versions[s]) {
-      shards_pruned.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    QueryOptions shard_options = options;
-    shard_options.shared_threshold = &threshold;
-    if (shard_sources_[s] != nullptr) {
-      shard_options.trace_source = shard_sources_[s];
-    }
-    per_shard[s] = shards_[s]->Query(q, k, measure, shard_options);
-    offer_merged(per_shard[s].items);
   });
-  TopKResult merged = MergeShardTopK(per_shard, k);
-  merged.stats.router_bound_evals += num_shards;
-  merged.stats.shards_pruned +=
-      shards_pruned.load(std::memory_order_relaxed);
-  return merged;
+  TopKResult result = MergeShardTopK(per_group, k);
+  if (!result.status.ok()) {
+    for (size_t s = 0; s < num_shards; ++s) {
+      *quarantined += shards_[s]->QuarantineDamagedPages(pins[s]);
+    }
+  }
+  return result;
 }
 
 TopKResult ShardedIndex::Query(EntityId q, int k,
@@ -319,60 +258,40 @@ TopKResult ShardedIndex::Query(EntityId q, int k,
   // side at commit time (DigitalTraceIndex::CommitMutation), so the query
   // path is read-only and safe against concurrent maintenance.
   Timer timer;
-  TopKResult merged;
-  if (options.cross_shard_routing && options.approximation_epsilon == 0.0) {
-    merged = RoutedFanOut(q, k, measure, options, shard_threads);
-  } else {
-    std::vector<TopKResult> per_shard(shards_.size());
-    ParallelForEach(shard_threads, shards_.size(), [&](size_t s) {
-      QueryOptions shard_options = options;
-      if (shard_sources_[s] != nullptr) {
-        shard_options.trace_source = shard_sources_[s];
-      }
-      per_shard[s] = shards_[s]->Query(q, k, measure, shard_options);
-    });
-    merged = MergeShardTopK(per_shard, k);
+  const int workers = std::min<int>(ResolveThreadCount(shard_threads),
+                                    num_shards());
+  // Quarantine repair, as in DigitalTraceIndex::Query: a failed search
+  // repacks every shard whose pin observed damaged tree pages, and the
+  // query re-pins every lane and retries while the last pass repaired
+  // something — one retry per shard at most, so a 1-shard index retries
+  // once like a single index. (The serial schedule stops at the first
+  // damaged page, so a retry may surface another shard's damage.) When the
+  // budget runs out, the clean error surfaces.
+  uint64_t total = 0;
+  TopKResult result;
+  for (int pass = 0; pass <= num_shards(); ++pass) {
+    uint64_t quarantined = 0;
+    result = SearchLanes(q, k, measure, options, workers, &quarantined);
+    if (quarantined == 0) break;
+    total += quarantined;
   }
-  // Fan-out wall time; the summed per-shard work stays in work_seconds.
-  merged.stats.elapsed_seconds = timer.ElapsedSeconds();
-  return merged;
+  result.stats.pages_quarantined += total;
+  // Wall time of the whole call; the summed lane work stays in
+  // work_seconds.
+  result.stats.elapsed_seconds = timer.ElapsedSeconds();
+  return result;
 }
 
 std::vector<TopKResult> ShardedIndex::QueryMany(
     std::span<const EntityId> queries, int k, const AssociationMeasure& measure,
     const QueryOptions& options, int num_threads) const {
-  const size_t num_shards = shards_.size();
+  // Queries are the unit of parallelism: each runs the serial schedule, so
+  // every per-query result AND its counter/io totals are deterministic for
+  // any thread count.
   std::vector<TopKResult> results(queries.size());
-  if (options.cross_shard_routing && options.approximation_epsilon == 0.0) {
-    // Routed batches parallelize across queries only: each query walks its
-    // shards serially, best-bound-first, carrying the threshold from shard
-    // to shard. That keeps every per-query result AND its counter/io totals
-    // deterministic for any thread count (each query's visit sequence is
-    // self-contained), and late shards see the strongest possible
-    // watermark.
-    ParallelForEach(num_threads, queries.size(), [&](size_t i) {
-      results[i] =
-          RoutedFanOut(queries[i], k, measure, options, /*shard_threads=*/1);
-    });
-    return results;
-  }
-  // Flattened (query, shard) grid: every cell is an independent exact
-  // per-shard query into its own slot, so any thread count fills the same
-  // grid and the per-query merges see identical inputs.
-  std::vector<TopKResult> grid(queries.size() * num_shards);
-  ParallelForEach(num_threads, grid.size(), [&](size_t cell) {
-    const size_t i = cell / num_shards;
-    const size_t s = cell % num_shards;
-    QueryOptions shard_options = options;
-    if (shard_sources_[s] != nullptr) {
-      shard_options.trace_source = shard_sources_[s];
-    }
-    grid[cell] = shards_[s]->Query(queries[i], k, measure, shard_options);
+  ParallelForEach(num_threads, queries.size(), [&](size_t i) {
+    results[i] = Query(queries[i], k, measure, options, /*shard_threads=*/1);
   });
-  for (size_t i = 0; i < queries.size(); ++i) {
-    results[i] = MergeShardTopK(
-        {grid.data() + i * num_shards, num_shards}, k);
-  }
   return results;
 }
 
@@ -456,7 +375,7 @@ void ShardedIndex::Refresh() {
     // slots, and it must land strictly AFTER the refreshed tree commit:
     // a reader that observes the raised signature then pins a tree at
     // least as new as the refresh, so the tighter bound is admissible for
-    // whatever it reads (the version handshake in RoutedFanOut enforces
+    // whatever it reads (the version handshake in SearchLanes enforces
     // the pairing).
     shards_[s]->Refresh();
     RefreshRouterShard(static_cast<int>(s));

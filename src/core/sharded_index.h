@@ -69,10 +69,10 @@ struct ShardedIndexOptions {
 
 /// Scale-out layer over DigitalTraceIndex (ROADMAP: toward the paper's
 /// 100M-entity regime): entities are partitioned by ShardOfEntity into
-/// `num_shards` shards, each owning its own MinSigTree, and queries fan out
-/// over shards in parallel with a deterministic MergeShardTopK at the end —
-/// bit-identical to the single-shard answer, because per-shard search is
-/// exact and the merge reproduces the single-tree tie order.
+/// `num_shards` shards, each owning its own MinSigTree, and every query
+/// searches one lane per shard (core/query.h SearchLane) — bit-identical to
+/// the single-shard answer, because the search is exact and ties resolve in
+/// the single-tree order.
 ///
 /// Storage: all shards read the store the index was built over, or —
 /// exactly like DigitalTraceIndex — whatever `QueryOptions::trace_source`
@@ -84,21 +84,21 @@ struct ShardedIndexOptions {
 /// The whole DigitalTraceIndex maintenance API routes through the shard
 /// map: InsertEntity/InsertEntities, UpdateEntity, RemoveEntity, Refresh.
 /// QueryStats of a merged result aggregate across shards (counters and io
-/// sum; hash_evals grows with the shard count since every shard hashes the
-/// query's cells against its own tree — the fan-out cost of sharding).
+/// sum; hash_evals grows with the shard count under the concurrent schedule,
+/// where every lane hashes the query's cells itself).
 ///
-/// Cross-shard pruning (QueryOptions::cross_shard_routing): every build
-/// also extracts a shared coarse routing level — one population-wide
-/// level-1 min-signature per shard (CoarseShardRouter) over the same hash
-/// family. A routed query bounds each shard once, visits shards
-/// best-bound-first, skips shards whose bound cannot beat the certified
-/// global k-th score, and threads a CrossShardThreshold through the
-/// per-shard searches so late shards terminate with the pruning power of
-/// the big single tree. Results stay bit-identical to the unrouted fan-out
-/// and the single-tree oracle (the strict-tie canonicalization in
-/// core/query.cc is what makes this safe); only the work counters shrink.
-/// The identity argument needs exact search, so routing is ignored when
-/// QueryOptions::approximation_epsilon > 0.
+/// Cross-shard pruning (DESIGN-sharding.md): every build also extracts a
+/// shared coarse routing level — one population-wide level-1 min-signature
+/// per shard (CoarseShardRouter) over the same hash family. Each lane
+/// carries its shard's signature, from which the search derives an
+/// admissible cap on the lane's root bound, and lanes prune against the
+/// global k-th score — one frontier and heap in the serial schedule, plus
+/// a shared CrossShardThreshold across the concurrent one's groups — so
+/// late shards terminate with the pruning power of the big single tree.
+/// Results stay bit-identical to the single-tree oracle (the strict-tie
+/// canonicalization in core/query.cc is what makes this safe); with
+/// approximation slack the (1 + epsilon) guarantee of
+/// QueryOptions::approximation_epsilon holds.
 /// The router is maintained through the same insert/update/remove/Refresh
 /// conventions as the shard trees (min-merge on insert, stale-low after
 /// removal, tight again after Refresh).
@@ -106,25 +106,28 @@ struct ShardedIndexOptions {
 /// Concurrency (DESIGN-sharding.md "Concurrency model"): queries may run
 /// concurrently with maintenance. Each shard carries its own
 /// DigitalTraceIndex reader/writer coordination, so a writer committing
-/// into one shard never stalls the fan-out into the others; every query
-/// path reads through per-shard ReadPins (taken inside the per-shard Query,
-/// or explicitly for the unified forest walk). Router slots publish
-/// asynchronously under the stale-LOW rule: Absorb runs BEFORE the shard
-/// tree commit (a reader that sees the new entity has certainly seen its
-/// signature absorbed), removals leave slots loose, and the one raising
-/// write — Refresh — lands strictly after the refreshed tree publishes.
-/// Routed queries validate that a shard's version did not move between the
-/// bound's signature read and the pin/skip decision, and fall back to
-/// not pruning that shard otherwise — bounds stay admissible for exactly
-/// the tree state the query reads. ReplaceEntity (trace mutation) is
-/// covered by the same protocol: the new trace's coarse signature is
-/// absorbed into the router BEFORE the owning shard's {store override,
-/// tree update} commit, and readers score traces as of their per-shard pin
-/// versions (SearchLane::as_of), so no query ever mixes a shard's old tree
-/// with its new trace or vice versa. (The query entity's own trace is read
-/// at latest — its version stamps are shard-local, and a caller replacing
-/// the very entity it queries concurrently gets one side or the other of
-/// the replacement, both self-consistent.)
+/// into one shard never stalls the searches of the others; every lane reads
+/// through a per-shard ReadPin. Router slots publish asynchronously under
+/// the stale-LOW rule: Absorb runs BEFORE the shard tree commit (a reader
+/// that sees the new entity has certainly seen its signature absorbed),
+/// removals leave slots loose, and the one raising write — Refresh — lands
+/// strictly after the refreshed tree publishes. A lane pairs its signature
+/// copy with its pin through a version handshake, so a lane's bound is
+/// admissible for exactly the tree state the lane reads. ReplaceEntity
+/// (trace mutation) is covered by the same protocol: the new trace's coarse
+/// signature is absorbed into the router BEFORE the owning shard's {store
+/// override, tree update} commit, and lanes score traces as of their
+/// per-shard pin versions (SearchLane::as_of), so no query ever mixes a
+/// shard's old tree with its new trace or vice versa. (The query entity's
+/// own trace is read at latest — its version stamps are shard-local, and a
+/// caller replacing the very entity it queries concurrently gets one side
+/// or the other of the replacement, both self-consistent.)
+///
+/// Faults: a lane that hits unrecoverable paged-tree pages fails the query
+/// cleanly; the damaged shards quarantine those pages
+/// (DigitalTraceIndex::QuarantineDamagedPages) and the query re-pins every
+/// lane and retries, at most once per shard — a 1-shard index retries
+/// once, exactly like a single index.
 class ShardedIndex {
  public:
   /// Builds shards over every entity in the store, or over `entities` when
@@ -135,28 +138,23 @@ class ShardedIndex {
       std::shared_ptr<TraceStore> store, ShardedIndexOptions options = {},
       std::optional<std::vector<EntityId>> entities = std::nullopt);
 
-  /// Exact top-k: per-shard exact queries on `shard_threads` workers
-  /// (0 = auto, 1 = serial), merged with MergeShardTopK. Bit-identical to
-  /// the single-shard DigitalTraceIndex answer for any shard count and any
-  /// thread count. stats.elapsed_seconds is the fan-out wall time
-  /// (work_seconds keeps the summed per-shard work). With
-  /// options.cross_shard_routing the fan-out goes through the coarse
-  /// router + shared threshold: identical items, fewer entities checked;
-  /// counter/io accounting becomes interleaving-dependent when
-  /// shard_threads > 1.
+  /// Exact top-k over one search lane per shard. `shard_threads` picks the
+  /// schedule: 1 (default) searches every lane in one frontier — counters
+  /// and io are deterministic; N > 1 (0 = auto) splits the lanes into up to
+  /// N contiguous groups, one frontier per group on its own worker, coupled
+  /// through a shared k-th-score watermark — identical items, but
+  /// counter/io accounting depends on the order groups raise the watermark.
+  /// Bit-identical to the single-shard DigitalTraceIndex answer for any
+  /// shard count and either schedule. stats.elapsed_seconds is the call's
+  /// wall time (work_seconds keeps the summed lane work).
   TopKResult Query(EntityId q, int k, const AssociationMeasure& measure,
                    const QueryOptions& options = {},
-                   int shard_threads = 0) const;
+                   int shard_threads = 1) const;
 
-  /// Batch queries on `num_threads` workers (0 = auto): the (query, shard)
-  /// grid is flattened so workers stay busy even when queries and shards
-  /// are both few. results[i] is bit-identical to Query(queries[i], ...)
-  /// for every thread count; its elapsed_seconds is summed per-shard work
-  /// (= work_seconds), not wall time. With options.cross_shard_routing each
-  /// query instead visits its shards serially, best-bound-first, carrying
-  /// the threshold from shard to shard — queries stay the unit of
-  /// parallelism, so results AND per-query counter/io totals are
-  /// deterministic across thread counts.
+  /// Batch queries on `num_threads` workers (0 = auto): queries are the
+  /// unit of parallelism, and each runs Query's serial schedule, so
+  /// results[i] — items AND counter/io totals — equals
+  /// Query(queries[i], ...) for every thread count.
   std::vector<TopKResult> QueryMany(std::span<const EntityId> queries, int k,
                                     const AssociationMeasure& measure,
                                     const QueryOptions& options = {},
@@ -177,7 +175,7 @@ class ShardedIndex {
   /// one atomic per-shard commit (DigitalTraceIndex::ReplaceEntity). The
   /// new trace's coarse signature is min-merged into the router before the
   /// commit — computed from `records` directly, since the store still
-  /// serves the old trace at that point — keeping routed bounds admissible
+  /// serves the old trace at that point — keeping lane bounds admissible
   /// throughout (absorb-before-commit, as for inserts). Safe to call
   /// concurrently with queries.
   void ReplaceEntity(EntityId e, const std::vector<PresenceRecord>& records);
@@ -191,8 +189,8 @@ class ShardedIndex {
   /// Switches every shard onto a paged tree snapshot (each shard's
   /// DigitalTraceIndex::EnablePagedTree with the same options — private
   /// page store per shard unless `options` names a shared disk/pool).
-  /// Results stay bit-identical for all query paths, routed or not; merged
-  /// QueryStats gain the summed tree-page I/O.
+  /// Results stay bit-identical under either schedule; merged QueryStats
+  /// gain the summed tree-page I/O.
   void EnablePagedTrees(const PagedTreeOptions& options = {});
   /// Back to in-memory trees in every shard.
   void DisablePagedTrees();
@@ -255,11 +253,13 @@ class ShardedIndex {
   /// so no reader can see the entity in the tree uncovered by the router
   /// bound (early absorption only lowers slots — admissible).
   void AbsorbIntoRouter(int s, EntityId e);
-  /// The routed fan-out behind Query/QueryMany when
-  /// options.cross_shard_routing is set: coarse bounds, best-bound-first
-  /// visit order, shard skipping, and threshold propagation.
-  TopKResult RoutedFanOut(EntityId q, int k, const AssociationMeasure& measure,
-                          const QueryOptions& options, int shard_threads) const;
+  /// One pinned search: pins every lane through the version handshake and
+  /// searches them in `workers` groups (1 = the serial schedule). On failure,
+  /// every shard drains and repairs the damaged tree pages its pin
+  /// observed, adding the count to *quarantined, before the pins drop.
+  TopKResult SearchLanes(EntityId q, int k, const AssociationMeasure& measure,
+                         const QueryOptions& options, int workers,
+                         uint64_t* quarantined) const;
 
   std::shared_ptr<TraceStore> store_;
   ShardedIndexOptions options_;

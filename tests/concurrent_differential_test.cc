@@ -219,19 +219,17 @@ void ReaderLoop(const ShardedIndex& live, const VersionedOracle& oracle,
         }
       }
       // Full fan-out protocol: some version VECTOR inside the per-shard
-      // windows must reproduce the merged result. Alternates routing and
-      // fan-out thread counts so all three query paths (unrouted grid,
-      // unified forest walk, concurrent routed visit) race the writer.
-      QueryOptions opts;
-      opts.cross_shard_routing = (iter % 2 == 0);
-      const int shard_threads = (iter % 4 < 2) ? 1 : 2;
+      // windows must reproduce the merged result. Alternates the lane
+      // schedules so both (one frontier over every lane, concurrent lane
+      // groups) race the writer.
+      const int shard_threads = (iter % 2 == 0) ? 1 : 2;
       std::vector<uint64_t> v0(static_cast<size_t>(num_shards));
       std::vector<uint64_t> v1(static_cast<size_t>(num_shards));
       for (int s = 0; s < num_shards; ++s) {
         v0[static_cast<size_t>(s)] = live.shard(s).version();
       }
       const TopKResult r =
-          live.Query(queries[qi], kTopK, measure, opts, shard_threads);
+          live.Query(queries[qi], kTopK, measure, {}, shard_threads);
       for (int s = 0; s < num_shards; ++s) {
         v1[static_cast<size_t>(s)] = live.shard(s).version();
       }
@@ -270,9 +268,8 @@ void ReaderLoop(const ShardedIndex& live, const VersionedOracle& oracle,
         }
         if (!matched) {
           std::ostringstream os;
-          os << "reader " << reader_id << " query " << qi << " (routed="
-             << opts.cross_shard_routing << " threads=" << shard_threads
-             << "): no version vector in window reproduces"
+          os << "reader " << reader_id << " query " << qi << " (threads="
+             << shard_threads << "): no version vector in window reproduces"
              << DescribeItems(r.items);
           *error = os.str();
           return;
@@ -354,7 +351,7 @@ void RunCell(int num_shards, const std::optional<PagedTreeOptions>& paged,
 
   // Settled check: the drained live index must sit exactly at the oracle's
   // final version, and answer exactly like it — through the per-shard path
-  // and both fan-out paths.
+  // and both lane schedules.
   for (int s = 0; s < num_shards; ++s) {
     ASSERT_EQ(live.shard(s).version() + 1, vo.items[static_cast<size_t>(s)].size());
     const auto& finals = vo.items[static_cast<size_t>(s)].back();
@@ -371,14 +368,11 @@ void RunCell(int num_shards, const std::optional<PagedTreeOptions>& paged,
           vo.items[static_cast<size_t>(s)].back()[qi];
     }
     const auto expected = MergeShardTopK(parts, kTopK).items;
-    for (const bool routed : {false, true}) {
-      QueryOptions opts;
-      opts.cross_shard_routing = routed;
+    for (const int shard_threads : {1, 2}) {
       EXPECT_TRUE(SameItems(
           expected,
-          live.Query(queries[qi], kTopK, measure, opts, /*shard_threads=*/1)
-              .items))
-          << "settled fan-out query " << qi << " routed " << routed;
+          live.Query(queries[qi], kTopK, measure, {}, shard_threads).items))
+          << "settled fan-out query " << qi << " threads " << shard_threads;
     }
   }
 }

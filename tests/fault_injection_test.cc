@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/index.h"
@@ -439,6 +440,42 @@ TEST(FaultQuarantineTest, CorruptTreePagesQuarantineRepackAndRecover) {
   }
   EXPECT_TRUE(saw_quarantine) << "no schedule ever tripped the quarantine";
   EXPECT_TRUE(saw_repair) << "no quarantined query ever recovered";
+}
+
+TEST(FaultQuarantineTest, ShardedLanesQuarantineRepackAndRecover) {
+  // The same sticky-page schedules under per-shard paged trees, through
+  // ShardedIndex's search lanes under both schedules: a query that hits a
+  // damaged tree page quarantines it in the owning shard, re-pins every
+  // lane and retries — recovering like the single index above.
+  FaultWorld& w = World();
+  const int num_shards = w.sharded->num_shards();
+  for (const int shard_threads : {1, 4}) {
+    SCOPED_TRACE("shard_threads=" + std::to_string(shard_threads));
+    Tally tally;
+    bool saw_repair = false;  // Ok answer after a quarantine + repack
+    for (uint64_t seed = 100; seed < 140; ++seed) {
+      FaultInjectionConfig cfg;
+      cfg.seed = seed;
+      cfg.sticky_page_rate = 0.05;
+      PagedTreeOptions topts;
+      topts.backing = PagedTreeOptions::Backing::kSimDisk;
+      topts.disk.pool_fraction = 0.5;
+      topts.disk.faults = cfg;
+      w.sharded->EnablePagedTrees(topts);
+      for (size_t i = 0; i < w.queries.size(); ++i) {
+        const TopKResult r = w.sharded->Query(w.queries[i], kTopK,
+                                              w.measure(), {}, shard_threads);
+        CheckResult(w.expected[i], r, &tally, "sharded quarantine", seed);
+        // Every query ran on the lanes: one coarse bound per shard.
+        EXPECT_EQ(r.stats.router_bound_evals,
+                  static_cast<uint64_t>(num_shards));
+        if (r.stats.pages_quarantined > 0 && r.status.ok()) saw_repair = true;
+      }
+      w.sharded->DisablePagedTrees();
+    }
+    EXPECT_GT(tally.quarantined, 0u) << "no lane ever quarantined a page";
+    EXPECT_TRUE(saw_repair) << "no quarantined sharded query ever recovered";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@
 #include "core/index.h"
 #include "exp/harness.h"
 #include "exp/presets.h"
-#include "storage/paged_trace_store.h"
+#include "storage/paged_trace_source.h"
 
 namespace dtrace {
 namespace {
@@ -94,16 +94,19 @@ TEST_F(IntegrationTest, PagedStoreBacksQueriesWithIoAccounting) {
   const auto index =
       DigitalTraceIndex::Build(syn_->store, {.num_functions = 64});
   PolynomialLevelMeasure measure(syn_->hierarchy->num_levels());
-  SimDisk disk;
-  PagedTraceStore paged(*syn_->store, &disk);
-  BufferPool pool(&disk, std::max<size_t>(1, paged.num_pages() / 10));
-  disk.ResetStats();
+  PagedTraceSource::Options popts;
+  popts.pool_fraction = 0.1;
+  const PagedTraceSource paged(*syn_->store, popts);
   QueryOptions qopts;
-  qopts.access_hook = [&](EntityId e) { paged.TouchEntity(&pool, e); };
-  const auto queries = SampleQueries(*syn_->store, 5, 19);
-  for (EntityId q : queries) index.Query(q, 10, measure, qopts);
-  EXPECT_GT(disk.reads(), 0u);
-  EXPECT_GT(disk.modeled_io_seconds(), 0.0);
+  qopts.trace_source = &paged;
+  TraceIoStats io;
+  for (EntityId q : SampleQueries(*syn_->store, 5, 19)) {
+    const TopKResult r = index.Query(q, 10, measure, qopts);
+    ASSERT_TRUE(r.status.ok()) << r.status.message();
+    io.Add(r.stats.io);
+  }
+  EXPECT_GT(io.pages_read, 0u);
+  EXPECT_GT(io.modeled_io_seconds, 0.0);
 }
 
 TEST_F(IntegrationTest, AnalyticalModelProducesComparablePe) {

@@ -181,18 +181,6 @@ TEST(QueryTest, PruningActuallySkipsEntities) {
       << "no pruning happened at all";
 }
 
-TEST(QueryTest, AccessHookSeesEveryCheckedEntity) {
-  const auto hierarchy = GenerateGridHierarchy(4, {.m = 2, .a = 1.0, .b = 1.0});
-  auto store = RandomStore(50, 12, *hierarchy, 13);
-  const auto index = DigitalTraceIndex::Build(store, {.num_functions = 16});
-  PolynomialLevelMeasure measure(hierarchy->num_levels());
-  uint64_t hook_calls = 0;
-  QueryOptions qopts;
-  qopts.access_hook = [&](EntityId) { ++hook_calls; };
-  const TopKResult r = index.Query(2, 5, measure, qopts);
-  EXPECT_EQ(hook_calls, r.stats.entities_checked);
-}
-
 TEST(QueryTest, EagerChildBoundsKeepTheVisitSequence) {
   // Pins the best-first walk on a seeded preset. The summed totals were
   // recorded from the search that pushed each child with its parent's bound

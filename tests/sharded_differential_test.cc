@@ -4,11 +4,11 @@
 // InsertBatch, ReplaceEntity + UpdateEntity + RemoveEntity + Refresh — runs
 // against ShardedIndex instances at {1, 2, 4, 7} shards, over both storage
 // backends (in-memory TraceStore and PagedTraceSource, shared or per-shard
-// pools), across thread counts, and with the cross-shard pruning layer
-// (coarse router + threshold propagation) off, on, and mixed — and every
-// configuration must return results bit-identical to the single-tree
-// DigitalTraceIndex oracle, with routed runs checking monotonically
-// non-increasing entity counts vs the unrouted fan-out.
+// pools), and under both lane schedules (one frontier over every shard, or
+// concurrent lane groups coupled through a shared watermark) — and
+// every configuration must return results bit-identical to the single-tree
+// DigitalTraceIndex oracle. Approximate queries must keep the (1 + epsilon)
+// guarantee against the brute-force scan.
 // Aggregated QueryStats::io must also be consistent: per-query access
 // totals are deterministic across thread counts for a fixed configuration,
 // and the 1-shard sharded instance charges exactly the oracle's I/O.
@@ -97,44 +97,26 @@ std::vector<QueryPlan> MakePlans(const World& w, size_t count, uint64_t seed) {
 }
 
 // Every sharded configuration must reproduce the oracle bit for bit, for
-// every shard count, across shard-fan-out thread counts, and with the
-// cross-shard pruning layer (coarse router + threshold propagation) both
-// off and on. Routed runs must additionally never check more entities than
-// the unrouted fan-out — the layer exists to prune, and pruning only ever
-// removes exact evaluations.
+// every shard count and under both lane schedules: shard_threads == 1
+// searches every lane in one frontier, 3 splits the lanes into up to three
+// concurrent groups (several lanes per group at 4 and 7 shards) coupled
+// through the shared watermark.
 void CheckAgainstOracle(const World& w, const std::vector<QueryPlan>& plans) {
   for (const QueryPlan& plan : plans) {
     const TopKResult expected =
         w.oracle->Query(plan.q, plan.k, PolynomialLevelMeasure(
             w.dataset.hierarchy->num_levels()), plan.options);
     for (size_t si = 0; si < w.sharded.size(); ++si) {
-      uint64_t unrouted_checked = 0;
       for (int shard_threads : {1, 3}) {
         const TopKResult actual = w.sharded[si]->Query(
             plan.q, plan.k,
             PolynomialLevelMeasure(w.dataset.hierarchy->num_levels()),
             plan.options, shard_threads);
-        ExpectIdentical(expected, actual, "in-memory");
+        ExpectIdentical(expected, actual, "sharded");
         // PE inputs must agree too: the merged stats cover the whole
         // population's worth of exact evaluations.
         EXPECT_GE(actual.stats.entities_checked,
                   static_cast<uint64_t>(actual.items.size()));
-        unrouted_checked = actual.stats.entities_checked;
-      }
-      QueryOptions routed_opts = plan.options;
-      routed_opts.cross_shard_routing = true;
-      for (int shard_threads : {1, 3}) {
-        // shard_threads == 1 takes the unified forest walk; > 1 takes the
-        // concurrent per-shard fan-out with the shared watermark. Both must
-        // match the oracle exactly and prune at least as hard as the
-        // unrouted grid.
-        const TopKResult routed = w.sharded[si]->Query(
-            plan.q, plan.k,
-            PolynomialLevelMeasure(w.dataset.hierarchy->num_levels()),
-            routed_opts, shard_threads);
-        ExpectIdentical(expected, routed, "routed");
-        EXPECT_LE(routed.stats.entities_checked, unrouted_checked)
-            << "routing must be monotonically non-increasing in work";
       }
     }
   }
@@ -196,34 +178,39 @@ TEST(ShardedDifferentialTest, PagedBackendMatchesOracleAcrossThreadCounts) {
   qopts.trace_source = &shared;
 
   for (size_t si = 0; si < w.sharded.size(); ++si) {
-    // Per-query I/O *totals* (accesses, records, bytes) are deterministic
-    // for a fixed shard count: every (query, shard) cell issues the same
-    // access sequence no matter how cells interleave. Only the read/hit
-    // split may shift with pool state, so compare their sum.
-    std::vector<uint64_t> ref_touched, ref_fetched, ref_bytes;
+    // Per-query I/O *totals* (accesses, records, bytes) and search counters
+    // are deterministic for a fixed shard count: every query runs its own
+    // serial forest walk, which issues the same access sequence no matter
+    // how queries interleave. Only the read/hit split may shift with pool
+    // state, so compare their sum.
+    std::vector<uint64_t> ref_touched, ref_fetched, ref_bytes, ref_checked;
     for (int num_threads : {1, 4}) {
       const auto results =
           w.sharded[si]->QueryMany(queries, k, measure, qopts, num_threads);
       ASSERT_EQ(results.size(), queries.size());
-      std::vector<uint64_t> touched, fetched, bytes;
+      std::vector<uint64_t> touched, fetched, bytes, checked;
       for (size_t i = 0; i < results.size(); ++i) {
         ExpectIdentical(expected[i], results[i], "paged");
         touched.push_back(results[i].stats.io.pages_read +
                           results[i].stats.io.pages_hit);
         fetched.push_back(results[i].stats.io.entities_fetched);
         bytes.push_back(results[i].stats.io.bytes_read);
+        checked.push_back(results[i].stats.entities_checked);
         EXPECT_GT(fetched.back(), 0u) << "paged backend did no I/O?";
       }
       if (ref_touched.empty()) {
         ref_touched = touched;
         ref_fetched = fetched;
         ref_bytes = bytes;
+        ref_checked = checked;
         continue;
       }
       EXPECT_EQ(ref_touched, touched) << "shards " << kShardCounts[si]
                                       << " threads " << num_threads;
       EXPECT_EQ(ref_fetched, fetched);
       EXPECT_EQ(ref_bytes, bytes);
+      EXPECT_EQ(ref_checked, checked)
+          << "per-query counters must not depend on thread count";
     }
   }
 }
@@ -369,135 +356,61 @@ TEST(ShardedDifferentialTest, UpdatesRemovalsAndRefreshStayAligned) {
   }
 }
 
-TEST(ShardedDifferentialTest, RoutedQueryManyPagedIoDeterministicAcrossThreads) {
-  // The routed QueryMany visits each query's shards serially (the unified
-  // forest walk), so besides oracle bit-identity, per-query I/O *totals*
-  // must be deterministic across thread counts — the stronger guarantee the
-  // unrouted grid already gives, preserved by routing.
-  World w(500, /*data_seed=*/97, Range(0, 500));
-  PolynomialLevelMeasure measure(w.dataset.hierarchy->num_levels());
-  const auto plans = MakePlans(w, 6, /*seed=*/306);
-  std::vector<EntityId> queries;
-  for (const auto& p : plans) queries.push_back(p.q);
-  const int k = 10;
-  std::vector<TopKResult> expected;
-  for (EntityId q : queries) {
-    expected.push_back(w.oracle->Query(q, k, measure));
-  }
-
-  PagedTraceSource::Options popts;
-  popts.pool_fraction = 0.4;
-  const PagedTraceSource shared(*w.dataset.store, popts);
-  QueryOptions qopts;
-  qopts.trace_source = &shared;
-  qopts.cross_shard_routing = true;
-
-  for (size_t si = 0; si < w.sharded.size(); ++si) {
-    std::vector<uint64_t> ref_touched, ref_fetched, ref_bytes, ref_checked;
-    for (int num_threads : {1, 4}) {
-      const auto results =
-          w.sharded[si]->QueryMany(queries, k, measure, qopts, num_threads);
-      ASSERT_EQ(results.size(), queries.size());
-      std::vector<uint64_t> touched, fetched, bytes, checked;
-      for (size_t i = 0; i < results.size(); ++i) {
-        ExpectIdentical(expected[i], results[i], "routed paged");
-        touched.push_back(results[i].stats.io.pages_read +
-                          results[i].stats.io.pages_hit);
-        fetched.push_back(results[i].stats.io.entities_fetched);
-        bytes.push_back(results[i].stats.io.bytes_read);
-        checked.push_back(results[i].stats.entities_checked);
-      }
-      if (ref_touched.empty()) {
-        ref_touched = touched;
-        ref_fetched = fetched;
-        ref_bytes = bytes;
-        ref_checked = checked;
-        continue;
-      }
-      EXPECT_EQ(ref_touched, touched) << "shards " << kShardCounts[si]
-                                      << " threads " << num_threads;
-      EXPECT_EQ(ref_fetched, fetched);
-      EXPECT_EQ(ref_bytes, bytes);
-      EXPECT_EQ(ref_checked, checked)
-          << "routed per-query counters must not depend on thread count";
-    }
-  }
-}
-
-TEST(ShardedDifferentialTest, MixedRoutingSweepStaysAligned) {
-  // Routing is a pure per-query choice: interleaving routed and unrouted
-  // queries on the same index (and flipping the flag between repetitions of
-  // the same query) must leave every answer bit-identical to the oracle —
-  // no cross-query state leaks through the router or the watermark.
+TEST(ShardedDifferentialTest, ApproximateQueriesKeepTheEpsilonGuarantee) {
+  // With approximation slack the answer is no longer canonical, but the
+  // guarantee is, under both lane schedules: every returned score is the
+  // entity's exact degree, and every entity left out scores below
+  // (1 + epsilon) x the returned k-th score (or ties it — an evaluated
+  // entity can lose on id). The serial schedule is also run-deterministic.
+  constexpr double kEpsilon = 0.25;
   World w(500, /*data_seed=*/97, Range(0, 500));
   PolynomialLevelMeasure measure(w.dataset.hierarchy->num_levels());
   const auto plans = MakePlans(w, 8, /*seed=*/307);
-  for (size_t si = 0; si < w.sharded.size(); ++si) {
-    for (size_t i = 0; i < plans.size(); ++i) {
-      const QueryPlan& plan = plans[i];
-      const TopKResult expected =
-          w.oracle->Query(plan.q, plan.k, measure, plan.options);
-      QueryOptions opts = plan.options;
-      opts.cross_shard_routing = (i % 2 == 0);
-      const TopKResult first =
-          w.sharded[si]->Query(plan.q, plan.k, measure, opts);
-      ExpectIdentical(expected, first, "mixed sweep");
-      opts.cross_shard_routing = !opts.cross_shard_routing;
-      const TopKResult second =
-          w.sharded[si]->Query(plan.q, plan.k, measure, opts);
-      ExpectIdentical(expected, second, "mixed sweep flipped");
-
-      // With approximation slack the identity proof doesn't apply, so the
-      // routing flag must be ignored: routed and unrouted approximate
-      // queries take the same (unrouted, run-deterministic) path.
-      QueryOptions approx = plan.options;
-      approx.approximation_epsilon = 0.25;
-      const TopKResult approx_unrouted =
-          w.sharded[si]->Query(plan.q, plan.k, measure, approx, 1);
-      approx.cross_shard_routing = true;
-      const TopKResult approx_routed =
-          w.sharded[si]->Query(plan.q, plan.k, measure, approx, 1);
-      ExpectIdentical(approx_unrouted, approx_routed, "epsilon fallback");
+  for (const QueryPlan& plan : plans) {
+    const TopKResult scan = w.oracle->BruteForce(plan.q, 500, measure,
+                                                 plan.options);
+    std::vector<double> exact(500, -1.0);
+    for (const ScoredEntity& item : scan.items) exact[item.entity] = item.score;
+    QueryOptions approx = plan.options;
+    approx.approximation_epsilon = kEpsilon;
+    for (size_t si = 0; si < w.sharded.size(); ++si) {
+      for (int shard_threads : {1, 4}) {
+        const TopKResult r = w.sharded[si]->Query(plan.q, plan.k, measure,
+                                                  approx, shard_threads);
+        ASSERT_TRUE(r.status.ok());
+        ASSERT_EQ(r.items.size(), static_cast<size_t>(plan.k));
+        std::vector<char> returned(500, 0);
+        for (const ScoredEntity& item : r.items) {
+          EXPECT_EQ(item.score, exact[item.entity]) << "inexact score";
+          returned[item.entity] = 1;
+        }
+        const double kth = r.items.back().score;
+        for (const ScoredEntity& item : scan.items) {
+          if (returned[item.entity]) continue;
+          EXPECT_TRUE(item.score <= kth ||
+                      item.score < (1.0 + kEpsilon) * kth)
+              << "missed entity " << item.entity << " scores " << item.score
+              << " vs k-th " << kth << " (shards " << kShardCounts[si]
+              << " threads " << shard_threads << ")";
+        }
+        if (shard_threads == 1) {
+          const TopKResult again =
+              w.sharded[si]->Query(plan.q, plan.k, measure, approx, 1);
+          ExpectIdentical(r, again, "approximate repeat");
+          EXPECT_EQ(r.stats.entities_checked, again.stats.entities_checked);
+          EXPECT_EQ(r.stats.nodes_visited, again.stats.nodes_visited);
+        }
+      }
     }
   }
-}
-
-TEST(ShardedDifferentialTest, RoutedPerShardSourcesMatchOracle) {
-  // The forest walk must route each lane's candidate reads through that
-  // shard's private source when one is attached.
-  World w(400, /*data_seed=*/89, Range(0, 400));
-  PolynomialLevelMeasure measure(w.dataset.hierarchy->num_levels());
-  const auto queries = SampleQueries(*w.dataset.store, 4, 55);
-  ShardedIndex& four = *w.sharded[2];  // 4 shards
-  ASSERT_EQ(four.num_shards(), 4);
-  PagedTraceSource::Options popts;
-  popts.pool_fraction = 0.4;
-  std::vector<std::unique_ptr<PagedTraceSource>> sources;
-  for (int s = 0; s < four.num_shards(); ++s) {
-    sources.push_back(
-        std::make_unique<PagedTraceSource>(*w.dataset.store, popts));
-    four.AttachShardSource(s, sources.back().get());
-  }
-  QueryOptions routed;
-  routed.cross_shard_routing = true;
-  for (EntityId q : queries) {
-    const TopKResult expected = w.oracle->Query(q, 10, measure);
-    for (int threads : {1, 4}) {
-      const TopKResult actual = four.Query(q, 10, measure, routed, threads);
-      ExpectIdentical(expected, actual, "routed per-shard sources");
-      EXPECT_GT(actual.stats.io.entities_fetched, 0u);
-    }
-  }
-  for (int s = 0; s < four.num_shards(); ++s) four.AttachShardSource(s, nullptr);
 }
 
 TEST(ShardedDifferentialTest, PagedTreesMatchOracleAcrossConfigurations) {
   // The paged MinSigTree snapshot (SoA node pages + resident zone maps,
   // core/paged_min_sig_tree.h) slots in underneath every sharded
   // configuration: with each shard's tree served from pages, the whole
-  // CheckAgainstOracle grid — shard counts, fan-out thread counts, routing
-  // off and on — must still reproduce the in-memory-tree oracle bit for
-  // bit, including the routed runs' monotone entities_checked.
+  // CheckAgainstOracle grid — shard counts and both lane schedules — must
+  // still reproduce the in-memory-tree oracle bit for bit.
   World w(500, /*data_seed=*/97, Range(0, 500));
   for (auto& sharded : w.sharded) sharded->EnablePagedTrees();
   CheckAgainstOracle(w, MakePlans(w, 8, /*seed=*/301));
