@@ -64,20 +64,13 @@ DigitalTraceIndex DigitalTraceIndex::Build(
                            std::move(tree), secs);
 }
 
-namespace {
-
-// Resolves the source queries evaluate against: an explicitly attached one
-// (which must describe the same population the index was built over), else
-// the in-memory store.
-const TraceSource& PickSource(const QueryOptions& options,
-                              const TraceStore& store) {
+const TraceSource& DigitalTraceIndex::PickSource(const QueryOptions& options,
+                                                 const TraceStore& store) {
   if (options.trace_source == nullptr) return store;
   DT_CHECK_MSG(options.trace_source->num_entities() == store.num_entities(),
                "trace_source describes a different dataset");
   return *options.trace_source;
 }
-
-}  // namespace
 
 DigitalTraceIndex::ReadPin DigitalTraceIndex::PinForRead() const {
   {
@@ -98,8 +91,12 @@ DigitalTraceIndex::ReadPin DigitalTraceIndex::PinForRead() const {
                  cc_->version.load(std::memory_order_acquire));
 }
 
-void DigitalTraceIndex::AdvanceQuarantineSeedLocked() const {
-  if (cc_->paged_options.shared_disk == nullptr &&
+void DigitalTraceIndex::PackAndPublishLocked(bool repack) const {
+  // Freeze the tree (shared — paged-mode readers take no latch, so this
+  // blocks only commits) while it is packed.
+  RWLatch::ReadGuard tree_guard(cc_->latch);
+  const uint64_t revision = cc_->revision.load(std::memory_order_acquire);
+  if (repack && cc_->paged_options.shared_disk == nullptr &&
       cc_->paged_options.disk.faults.has_value()) {
     // A repack onto a PRIVATE fault disk rebuilds the disk itself, and page
     // ids restart at zero — with an unchanged seed the schedule would
@@ -111,17 +108,6 @@ void DigitalTraceIndex::AdvanceQuarantineSeedLocked() const {
     cc_->paged_options.disk.faults->seed =
         cc_->paged_options.disk.faults->seed * 0x9e3779b97f4a7c15ull + 1;
   }
-}
-
-void DigitalTraceIndex::PublishFreshSnapshot() const {
-  const std::lock_guard<std::mutex> pack(cc_->pack_mu);
-  if (!cc_->paged_enabled.load(std::memory_order_relaxed)) return;
-  // Freeze the tree (shared — paged-mode readers take no latch, so this
-  // blocks only other commits) and pack the lagging revisions in.
-  RWLatch::ReadGuard tree_guard(cc_->latch);
-  const uint64_t revision = cc_->revision.load(std::memory_order_acquire);
-  if (revision == cc_->packed_revision) return;  // a racing commit packed us
-  AdvanceQuarantineSeedLocked();
   auto snapshot = std::make_shared<const PagedMinSigTree>(
       PagedMinSigTree::Pack(tree_, cc_->paged_options));
   {
@@ -130,7 +116,7 @@ void DigitalTraceIndex::PublishFreshSnapshot() const {
     cc_->version.store(revision, std::memory_order_relaxed);
   }
   cc_->packed_revision = revision;
-  cc_->snapshot_publishes.fetch_add(1, std::memory_order_relaxed);
+  if (repack) cc_->snapshot_publishes.fetch_add(1, std::memory_order_relaxed);
 }
 
 uint64_t DigitalTraceIndex::QuarantineDamagedPages(const ReadPin& pin) const {
@@ -146,18 +132,7 @@ uint64_t DigitalTraceIndex::QuarantineDamagedPages(const ReadPin& pin) const {
     // already retired the damaged snapshot — its replacement is fresh.
     if (cc_->head.get() != damaged) return quarantined;
   }
-  RWLatch::ReadGuard tree_guard(cc_->latch);
-  const uint64_t revision = cc_->revision.load(std::memory_order_acquire);
-  AdvanceQuarantineSeedLocked();
-  auto snapshot = std::make_shared<const PagedMinSigTree>(
-      PagedMinSigTree::Pack(tree_, cc_->paged_options));
-  {
-    const std::lock_guard<std::mutex> lock(cc_->head_mu);
-    cc_->head = std::move(snapshot);
-    cc_->version.store(revision, std::memory_order_relaxed);
-  }
-  cc_->packed_revision = revision;
-  cc_->snapshot_publishes.fetch_add(1, std::memory_order_relaxed);
+  PackAndPublishLocked(/*repack=*/true);
   return quarantined;
 }
 
@@ -176,8 +151,14 @@ void DigitalTraceIndex::CommitMutation(const std::function<void()>& mutate) {
   }
   // Paged mode commits at publication: readers keep draining on the old
   // snapshot while this packs, and the head swap is atomic under head_mu.
-  if (cc_->paged_enabled.load(std::memory_order_acquire)) {
-    PublishFreshSnapshot();
+  if (!cc_->paged_enabled.load(std::memory_order_acquire)) return;
+  const std::lock_guard<std::mutex> pack(cc_->pack_mu);
+  // Skip when paging was switched off meanwhile, or when a racing commit's
+  // publish already packed this revision in (revision only grows, and any
+  // commit after this read publishes for itself).
+  if (cc_->paged_enabled.load(std::memory_order_relaxed) &&
+      cc_->revision.load(std::memory_order_acquire) != cc_->packed_revision) {
+    PackAndPublishLocked(/*repack=*/true);
   }
 }
 
@@ -185,17 +166,8 @@ void DigitalTraceIndex::EnablePagedTree(const PagedTreeOptions& options) {
   DT_CHECK_MSG(!options_.store_full_signatures,
                "paged tree does not support full-signature mode");
   const std::lock_guard<std::mutex> pack(cc_->pack_mu);
-  RWLatch::ReadGuard tree_guard(cc_->latch);
-  const uint64_t revision = cc_->revision.load(std::memory_order_acquire);
   cc_->paged_options = options;
-  auto snapshot = std::make_shared<const PagedMinSigTree>(
-      PagedMinSigTree::Pack(tree_, cc_->paged_options));
-  {
-    const std::lock_guard<std::mutex> lock(cc_->head_mu);
-    cc_->head = std::move(snapshot);
-    cc_->version.store(revision, std::memory_order_relaxed);
-  }
-  cc_->packed_revision = revision;
+  PackAndPublishLocked(/*repack=*/false);
   cc_->paged_enabled.store(true, std::memory_order_release);
 }
 
@@ -213,12 +185,6 @@ const PagedMinSigTree& DigitalTraceIndex::paged_tree() const {
   const std::lock_guard<std::mutex> lock(cc_->head_mu);
   DT_CHECK(cc_->head != nullptr);
   return *cc_->head;
-}
-
-const TreeSource& DigitalTraceIndex::QueryTree() const {
-  const std::lock_guard<std::mutex> lock(cc_->head_mu);
-  if (cc_->head != nullptr) return *cc_->head;
-  return tree_;
 }
 
 std::vector<uint64_t> DigitalTraceIndex::CoarseSignature(Level level) const {
@@ -282,20 +248,16 @@ std::vector<TopKResult> DigitalTraceIndex::QueryMany(
     std::span<const EntityId> queries, int k,
     const AssociationMeasure& measure, const QueryOptions& options,
     int num_threads) const {
-  const TraceSource& source = PickSource(options, *store_);
-  std::vector<TopKResult> results(queries.size());
   // Queries are independent; each worker fills disjoint position-indexed
   // slots, so the output order (and every result) matches the serial run.
-  // Each query pins its own view: without concurrent writers every pin is
-  // the same state (serial bit-identity holds); with them, commits land
-  // between individual queries, never inside one — and in in-memory mode
-  // per-query pins keep writers from starving behind a long batch.
+  // Each Query pins its own view (and repairs damaged pages like a lone
+  // call): without concurrent writers every pin is the same state; with
+  // them, commits land between individual queries, never inside one — and
+  // in in-memory mode per-query pins keep writers from starving behind a
+  // long batch.
+  std::vector<TopKResult> results(queries.size());
   ParallelForEach(num_threads, queries.size(), [&](size_t i) {
-    const ReadPin pin = PinForRead();
-    QueryOptions pinned = options;
-    pinned.trace_as_of = pin.version();
-    TopKQueryProcessor proc(pin.tree(), source, *hasher_, measure);
-    results[i] = proc.Query(queries[i], k, pinned);
+    results[i] = Query(queries[i], k, measure, options);
   });
   return results;
 }

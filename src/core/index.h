@@ -100,9 +100,10 @@ class DigitalTraceIndex {
                         const QueryOptions& options = {}) const;
 
   /// Evaluates independent queries on `num_threads` workers (0 = auto,
-  /// 1 = serial). results[i] answers queries[i], and every entry is
-  /// bit-identical to the serial Query(queries[i], ...) result for any
-  /// thread count; only QueryStats timing/page counters may vary. Workers
+  /// 1 = serial): each entry IS a Query(queries[i], ...) call, so results[i]
+  /// is bit-identical to the serial Query result for any thread count (only
+  /// QueryStats timing/page counters may vary) and a batch repairs damaged
+  /// tree pages exactly like Query — quarantine, repack, one retry. Workers
   /// share `options` (including any trace_source, whose buffer pool is
   /// internally synchronized). Each query pins its own read view, so a
   /// concurrent writer's commits may land between (not inside) the batch's
@@ -164,10 +165,6 @@ class DigitalTraceIndex {
   /// it — callers must not hold it across concurrent maintenance (use
   /// PinForRead() for that).
   const PagedMinSigTree& paged_tree() const;
-  /// The tree queries run against right now: the published snapshot when
-  /// paged mode is enabled, else the in-memory tree. Same lifetime caveat
-  /// as paged_tree(); concurrent readers use PinForRead().
-  const TreeSource& QueryTree() const;
 
   /// A pinned, immutable view of the index for one read. In paged mode it
   /// holds a shared_ptr pin on the published snapshot (no latch — readers
@@ -306,7 +303,8 @@ class DigitalTraceIndex {
 
  private:
   // The scale-out layer's snapshot path serializes each shard's tree under
-  // that shard's latch and restores shards through the private constructor.
+  // that shard's latch and restores shards through the private constructor;
+  // its search lanes resolve their default source through PickSource.
   friend class ShardedIndex;
 
   DigitalTraceIndex(std::shared_ptr<TraceStore> store, IndexOptions options,
@@ -352,21 +350,27 @@ class DigitalTraceIndex {
     uint64_t packed_revision = 0;
     std::atomic<uint64_t> snapshot_publishes{0};
     std::atomic<bool> paged_enabled{false};
-    /// Pack configuration (under pack_mu: the quarantine-repack fault-seed
-    /// advance mutates it, writer-owned — never from a bare const path).
+    /// Pack configuration (under pack_mu: the repack fault-seed advance
+    /// mutates it, writer-owned — never from a bare const path).
     PagedTreeOptions paged_options;
   };
 
   /// Runs `mutate` on the tree under the write latch as one commit, then
-  /// (paged mode) packs and publishes a fresh snapshot.
+  /// (paged mode) packs and publishes a fresh snapshot if the head's
+  /// revision lags. Writers serialize on pack_mu across the pack; readers
+  /// keep pinning the old head throughout.
   void CommitMutation(const std::function<void()>& mutate);
-  /// Packs head from the tree if its revision lags, and publishes. Holds
-  /// pack_mu across the pack — writers serialize here — and the read latch
-  /// while reading the tree; readers keep pinning the old head throughout.
-  void PublishFreshSnapshot() const;
-  /// Advances the private fault disk's seed so a repack lands on a fresh
-  /// fault schedule (under pack_mu).
-  void AdvanceQuarantineSeedLocked() const;
+  /// The one pack-and-publish step (caller holds pack_mu): packs the tree
+  /// under the read latch and swaps (head, version) under head_mu. A
+  /// `repack` — any pack after EnablePagedTree's first — also advances a
+  /// private fault disk's seed, so the new pages land on a fresh fault
+  /// schedule, and counts in snapshot_publishes.
+  void PackAndPublishLocked(bool repack) const;
+  /// Resolves the source queries evaluate against: an explicitly attached
+  /// one (which must describe the same population the index was built
+  /// over), else the in-memory store.
+  static const TraceSource& PickSource(const QueryOptions& options,
+                                       const TraceStore& store);
 
   std::shared_ptr<TraceStore> store_;
   IndexOptions options_;

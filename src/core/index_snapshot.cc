@@ -373,19 +373,19 @@ void EncodeRouter(const CoarseShardRouter& router, SnapshotBuffer* out) {
 }
 
 Status DecodeRouter(std::span<const uint8_t> payload,
-                    const SnapshotConfig& cfg, CoarseShardRouter* router) {
+                    const SnapshotConfig& cfg,
+                    std::vector<std::vector<uint64_t>>* sigs) {
   SnapshotCursor cur(payload);
   uint32_t num_shards = 0, nh = 0;
   if (!cur.GetU32(&num_shards) || !cur.GetU32(&nh) ||
       num_shards != cfg.num_shards || nh != cfg.num_functions) {
     return Status::Corruption("snapshot router header mismatch");
   }
-  std::vector<uint64_t> sig(nh);
-  for (uint32_t s = 0; s < num_shards; ++s) {
+  sigs->assign(num_shards, std::vector<uint64_t>(nh));
+  for (std::vector<uint64_t>& sig : *sigs) {
     if (!cur.GetBytes(sig.data(), sig.size() * sizeof(uint64_t))) {
       return Status::Corruption("snapshot router section truncated");
     }
-    router->SetShardSignature(static_cast<int>(s), sig);
   }
   if (!cur.AtEnd()) {
     return Status::Corruption("snapshot router trailing bytes");
@@ -393,50 +393,94 @@ Status DecodeRouter(std::span<const uint8_t> payload,
   return Status::Ok();
 }
 
-std::string ShardSectionName(const char* base, int s) {
-  return std::string(base) + "_" + std::to_string(s);
+// Per-shard section names carry a "_<shard>" suffix in sharded snapshots;
+// a single-index snapshot uses the bare names.
+std::string SectionName(const char* base, uint32_t shard, bool sharded) {
+  return sharded ? std::string(base) + "_" + std::to_string(shard)
+                 : std::string(base);
 }
 
-}  // namespace
+// The per-shard state a snapshot captures: the shard tree and the latch
+// that freezes it (together with the store's traces) at one commit.
+struct ShardCapture {
+  RWLatch* latch;
+  const MinSigTree* tree;
+};
 
-Status DigitalTraceIndex::SaveSnapshot(SnapshotEnv* env, bool compress) const {
-  if (options_.store_full_signatures) {
+// The one snapshot writer behind both facades. Sections: config,
+// hierarchy, then per shard a (traces, tree) pair — suffixed "_<s>" in a
+// sharded snapshot — and, last, the router (sharded snapshots only). A
+// single index is the 1-shard case with unsuffixed names and no router.
+Status WriteSnapshot(SnapshotEnv* env, const IndexOptions& options,
+                     const TraceStore& store,
+                     std::span<const ShardCapture> shards,
+                     const CoarseShardRouter* router, bool compress) {
+  if (options.store_full_signatures) {
     return Status::FailedPrecondition(
         "snapshots do not support full-signature mode");
   }
-  SnapshotWriter writer(env, kSnapshotKindIndex);
+  const auto num_shards = static_cast<uint32_t>(shards.size());
+  const bool sharded = router != nullptr;
+  SnapshotWriter writer(env,
+                        sharded ? kSnapshotKindSharded : kSnapshotKindIndex);
   SnapshotBuffer config;
-  EncodeConfig(ConfigFor(options_, *store_, /*num_shards=*/1, compress),
-               &config);
+  EncodeConfig(ConfigFor(options, store, num_shards, compress), &config);
   Status s = writer.AddSection("config", config.bytes());
   if (!s.ok()) return s;
   SnapshotBuffer hierarchy;
-  EncodeHierarchy(store_->hierarchy(), &hierarchy);
+  EncodeHierarchy(store.hierarchy(), &hierarchy);
   s = writer.AddSection("hierarchy", hierarchy.bytes());
   if (!s.ok()) return s;
-  {
-    // One read guard over both data sections: the captured (traces, tree)
-    // pair is exactly one committed version.
-    const RWLatch::ReadGuard guard(cc_->latch);
+  for (uint32_t shard = 0; shard < num_shards; ++shard) {
+    // One read guard over the shard's (traces, tree) pair: each pair is
+    // exactly one of that shard's committed versions — the same per-shard
+    // version vector concurrent queries run against.
+    const RWLatch::ReadGuard guard(*shards[shard].latch);
     SnapshotBuffer traces;
-    EncodeTraces(*store_, /*num_shards=*/1, /*shard=*/0, compress, &traces);
-    s = writer.AddSection("traces", traces.bytes());
+    EncodeTraces(store, num_shards, shard, compress, &traces);
+    s = writer.AddSection(SectionName("traces", shard, sharded),
+                          traces.bytes());
     if (!s.ok()) return s;
     SnapshotBuffer tree;
-    EncodeTree(tree_, &tree);
-    s = writer.AddSection("tree", tree.bytes());
+    EncodeTree(*shards[shard].tree, &tree);
+    s = writer.AddSection(SectionName("tree", shard, sharded), tree.bytes());
+    if (!s.ok()) return s;
+  }
+  if (sharded) {
+    // The router snapshots LAST: every entity captured in a shard tree
+    // above had its signature absorbed before that shard's commit, so a
+    // read taken after all tree captures covers every captured member.
+    // Slots lowered by in-flight (uncaptured) inserts only loosen restored
+    // bounds — the stale-LOW rule, admissible as always.
+    SnapshotBuffer encoded;
+    EncodeRouter(*router, &encoded);
+    s = writer.AddSection("router", encoded.bytes());
     if (!s.ok()) return s;
   }
   return writer.Commit();
 }
 
-Status DigitalTraceIndex::LoadSnapshot(const SnapshotEnv& env,
-                                       LoadedIndex* out) {
+// What ReadSnapshot restores; the facades assemble their indexes from it.
+struct RestoredShards {
+  std::unique_ptr<SpatialHierarchy> hierarchy;
+  std::shared_ptr<TraceStore> store;
+  IndexOptions options;
+  std::vector<MinSigTree> trees;             // one per shard
+  std::vector<std::vector<uint64_t>> router;  // sharded snapshots only
+};
+
+// The one snapshot reader behind both facades: restores the newest valid
+// snapshot of `kind` (the section layout WriteSnapshot emits for it).
+Status ReadSnapshot(const SnapshotEnv& env, uint64_t kind,
+                    RestoredShards* out) {
+  const bool sharded = kind == kSnapshotKindSharded;
   SnapshotManifest manifest;
   Status s = LoadNewestManifest(env, &manifest);
   if (!s.ok()) return s;
-  if (manifest.kind != kSnapshotKindIndex) {
-    return Status::Corruption("snapshot kind mismatch (want single-index)");
+  if (manifest.kind != kind) {
+    return Status::Corruption(
+        sharded ? "snapshot kind mismatch (want sharded)"
+                : "snapshot kind mismatch (want single-index)");
   }
   std::vector<uint8_t> payload;
   s = ReadSnapshotSection(env, manifest, "config", &payload);
@@ -444,7 +488,7 @@ Status DigitalTraceIndex::LoadSnapshot(const SnapshotEnv& env,
   SnapshotConfig cfg;
   s = DecodeConfig(payload, &cfg);
   if (!s.ok()) return s;
-  if (cfg.num_shards != 1) {
+  if (!sharded && cfg.num_shards != 1) {
     return Status::Corruption("snapshot config shard count mismatch");
   }
   s = ReadSnapshotSection(env, manifest, "hierarchy", &payload);
@@ -453,147 +497,107 @@ Status DigitalTraceIndex::LoadSnapshot(const SnapshotEnv& env,
   s = DecodeHierarchy(payload, cfg, &hierarchy);
   if (!s.ok()) return s;
 
-  s = ReadSnapshotSection(env, manifest, "traces", &payload);
-  if (!s.ok()) return s;
-  std::vector<std::vector<uint32_t>> counts(
-      cfg.num_levels, std::vector<uint32_t>(cfg.num_entities, 0));
-  s = WalkTraces(payload, cfg, /*shard=*/0, &counts, nullptr);
-  if (!s.ok()) return s;
-  TraceStore::RestoredCells cells;
-  LayOutRestoredCells(counts, cfg.num_entities, &cells);
-  s = WalkTraces(payload, cfg, /*shard=*/0, nullptr, &cells);
-  if (!s.ok()) return s;
-  auto store = std::make_shared<TraceStore>(
-      *hierarchy, cfg.num_entities, static_cast<TimeStep>(cfg.horizon),
-      std::move(cells));
-
-  const IndexOptions options = OptionsFor(cfg);
-  std::unique_ptr<CellHasher> hasher = MakeHasher(*store, options);
-  s = ReadSnapshotSection(env, manifest, "tree", &payload);
-  if (!s.ok()) return s;
-  std::optional<MinSigTree> tree;
-  s = DecodeTree(payload, cfg, &tree);
-  if (!s.ok()) return s;
-
-  out->hierarchy = std::move(hierarchy);
-  out->store = store;
-  out->index.reset(new DigitalTraceIndex(std::move(store), options,
-                                         std::move(hasher), std::move(*tree),
-                                         /*build_seconds=*/0.0));
-  return Status::Ok();
-}
-
-Status ShardedIndex::SaveSnapshot(SnapshotEnv* env, bool compress) const {
-  if (options_.index.store_full_signatures) {
-    return Status::FailedPrecondition(
-        "snapshots do not support full-signature mode");
-  }
-  const auto num_shards = static_cast<uint32_t>(shards_.size());
-  SnapshotWriter writer(env, kSnapshotKindSharded);
-  SnapshotBuffer config;
-  EncodeConfig(ConfigFor(options_.index, *store_, num_shards, compress),
-               &config);
-  Status s = writer.AddSection("config", config.bytes());
-  if (!s.ok()) return s;
-  SnapshotBuffer hierarchy;
-  EncodeHierarchy(store_->hierarchy(), &hierarchy);
-  s = writer.AddSection("hierarchy", hierarchy.bytes());
-  if (!s.ok()) return s;
-  for (uint32_t shard = 0; shard < num_shards; ++shard) {
-    // Per-shard read guard over the shard's (traces, tree) pair: each
-    // shard's sections capture exactly one of ITS committed versions — the
-    // same per-shard version vector concurrent queries run against.
-    const RWLatch::ReadGuard guard(shards_[shard]->cc_->latch);
-    SnapshotBuffer traces;
-    EncodeTraces(*store_, num_shards, shard, compress, &traces);
-    s = writer.AddSection(ShardSectionName("traces", shard), traces.bytes());
-    if (!s.ok()) return s;
-    SnapshotBuffer tree;
-    EncodeTree(shards_[shard]->tree_, &tree);
-    s = writer.AddSection(ShardSectionName("tree", shard), tree.bytes());
-    if (!s.ok()) return s;
-  }
-  // The router snapshots LAST: every entity captured in a shard tree above
-  // had its signature absorbed before that shard's commit, so a read taken
-  // after all tree captures covers every captured member. Slots lowered by
-  // in-flight (uncaptured) inserts only loosen restored bounds — the
-  // stale-LOW rule, admissible as always.
-  SnapshotBuffer router;
-  EncodeRouter(router_, &router);
-  s = writer.AddSection("router", router.bytes());
-  if (!s.ok()) return s;
-  return writer.Commit();
-}
-
-Status ShardedIndex::LoadSnapshot(const SnapshotEnv& env,
-                                  LoadedShardedIndex* out) {
-  SnapshotManifest manifest;
-  Status s = LoadNewestManifest(env, &manifest);
-  if (!s.ok()) return s;
-  if (manifest.kind != kSnapshotKindSharded) {
-    return Status::Corruption("snapshot kind mismatch (want sharded)");
-  }
-  std::vector<uint8_t> payload;
-  s = ReadSnapshotSection(env, manifest, "config", &payload);
-  if (!s.ok()) return s;
-  SnapshotConfig cfg;
-  s = DecodeConfig(payload, &cfg);
-  if (!s.ok()) return s;
-  s = ReadSnapshotSection(env, manifest, "hierarchy", &payload);
-  if (!s.ok()) return s;
-  std::unique_ptr<SpatialHierarchy> hierarchy;
-  s = DecodeHierarchy(payload, cfg, &hierarchy);
-  if (!s.ok()) return s;
-
   // All shards share one store: count every shard's trace partition first,
   // lay out the CSR arrays once, then fill from each section.
-  const int num_shards = static_cast<int>(cfg.num_shards);
-  std::vector<std::vector<uint8_t>> trace_payloads(num_shards);
+  std::vector<std::vector<uint8_t>> trace_payloads(cfg.num_shards);
   std::vector<std::vector<uint32_t>> counts(
       cfg.num_levels, std::vector<uint32_t>(cfg.num_entities, 0));
-  for (int shard = 0; shard < num_shards; ++shard) {
-    s = ReadSnapshotSection(env, manifest, ShardSectionName("traces", shard),
+  for (uint32_t shard = 0; shard < cfg.num_shards; ++shard) {
+    s = ReadSnapshotSection(env, manifest,
+                            SectionName("traces", shard, sharded),
                             &trace_payloads[shard]);
     if (!s.ok()) return s;
-    s = WalkTraces(trace_payloads[shard], cfg, static_cast<uint32_t>(shard),
-                   &counts, nullptr);
+    s = WalkTraces(trace_payloads[shard], cfg, shard, &counts, nullptr);
     if (!s.ok()) return s;
   }
   TraceStore::RestoredCells cells;
   LayOutRestoredCells(counts, cfg.num_entities, &cells);
-  for (int shard = 0; shard < num_shards; ++shard) {
-    s = WalkTraces(trace_payloads[shard], cfg, static_cast<uint32_t>(shard),
-                   nullptr, &cells);
+  for (uint32_t shard = 0; shard < cfg.num_shards; ++shard) {
+    s = WalkTraces(trace_payloads[shard], cfg, shard, nullptr, &cells);
     if (!s.ok()) return s;
   }
-  auto store = std::make_shared<TraceStore>(
-      *hierarchy, cfg.num_entities, static_cast<TimeStep>(cfg.horizon),
-      std::move(cells));
+  trace_payloads.clear();
 
-  ShardedIndexOptions options;
-  options.num_shards = num_shards;
-  options.index = OptionsFor(cfg);
-  std::unique_ptr<ShardedIndex> index(new ShardedIndex(store, options));
-  index->shards_.resize(num_shards);
-  index->shard_sources_.assign(num_shards, nullptr);
-  for (int shard = 0; shard < num_shards; ++shard) {
-    s = ReadSnapshotSection(env, manifest, ShardSectionName("tree", shard),
+  std::vector<MinSigTree> trees;
+  for (uint32_t shard = 0; shard < cfg.num_shards; ++shard) {
+    s = ReadSnapshotSection(env, manifest, SectionName("tree", shard, sharded),
                             &payload);
     if (!s.ok()) return s;
     std::optional<MinSigTree> tree;
     s = DecodeTree(payload, cfg, &tree);
     if (!s.ok()) return s;
-    index->shards_[shard].reset(new DigitalTraceIndex(
-        store, options.index, MakeHasher(*store, options.index),
-        std::move(*tree), /*build_seconds=*/0.0));
+    trees.push_back(std::move(*tree));
   }
-  s = ReadSnapshotSection(env, manifest, "router", &payload);
-  if (!s.ok()) return s;
-  s = DecodeRouter(payload, cfg, &index->router_);
-  if (!s.ok()) return s;
+  std::vector<std::vector<uint64_t>> router;
+  if (sharded) {
+    s = ReadSnapshotSection(env, manifest, "router", &payload);
+    if (!s.ok()) return s;
+    s = DecodeRouter(payload, cfg, &router);
+    if (!s.ok()) return s;
+  }
 
+  out->store = std::make_shared<TraceStore>(
+      *hierarchy, cfg.num_entities, static_cast<TimeStep>(cfg.horizon),
+      std::move(cells));
   out->hierarchy = std::move(hierarchy);
-  out->store = std::move(store);
+  out->options = OptionsFor(cfg);
+  out->trees = std::move(trees);
+  out->router = std::move(router);
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status DigitalTraceIndex::SaveSnapshot(SnapshotEnv* env, bool compress) const {
+  const ShardCapture self{&cc_->latch, &tree_};
+  return WriteSnapshot(env, options_, *store_, {&self, 1}, /*router=*/nullptr,
+                       compress);
+}
+
+Status DigitalTraceIndex::LoadSnapshot(const SnapshotEnv& env,
+                                       LoadedIndex* out) {
+  RestoredShards restored;
+  const Status s = ReadSnapshot(env, kSnapshotKindIndex, &restored);
+  if (!s.ok()) return s;
+  out->index.reset(new DigitalTraceIndex(
+      restored.store, restored.options,
+      MakeHasher(*restored.store, restored.options),
+      std::move(restored.trees[0]), /*build_seconds=*/0.0));
+  out->hierarchy = std::move(restored.hierarchy);
+  out->store = std::move(restored.store);
+  return Status::Ok();
+}
+
+Status ShardedIndex::SaveSnapshot(SnapshotEnv* env, bool compress) const {
+  std::vector<ShardCapture> shards;
+  for (const auto& shard : shards_) {
+    shards.push_back({&shard->cc_->latch, &shard->tree_});
+  }
+  return WriteSnapshot(env, options_.index, *store_, shards, &router_,
+                       compress);
+}
+
+Status ShardedIndex::LoadSnapshot(const SnapshotEnv& env,
+                                  LoadedShardedIndex* out) {
+  RestoredShards restored;
+  const Status s = ReadSnapshot(env, kSnapshotKindSharded, &restored);
+  if (!s.ok()) return s;
+  const int num_shards = static_cast<int>(restored.trees.size());
+  ShardedIndexOptions options;
+  options.num_shards = num_shards;
+  options.index = restored.options;
+  std::unique_ptr<ShardedIndex> index(
+      new ShardedIndex(restored.store, options));
+  index->shard_sources_.assign(num_shards, nullptr);
+  for (int shard = 0; shard < num_shards; ++shard) {
+    index->shards_.emplace_back(new DigitalTraceIndex(
+        restored.store, options.index,
+        MakeHasher(*restored.store, options.index),
+        std::move(restored.trees[shard]), /*build_seconds=*/0.0));
+    index->router_.SetShardSignature(shard, restored.router[shard]);
+  }
+  out->hierarchy = std::move(restored.hierarchy);
+  out->store = std::move(restored.store);
   out->index = std::move(index);
   return Status::Ok();
 }

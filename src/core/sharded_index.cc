@@ -161,10 +161,8 @@ TopKResult ShardedIndex::SearchLanes(EntityId q, int k,
                                      const QueryOptions& options, int workers,
                                      uint64_t* quarantined) const {
   const size_t num_shards = shards_.size();
-  const TraceSource* default_source =
-      options.trace_source != nullptr ? options.trace_source : store_.get();
-  DT_CHECK_MSG(default_source->num_entities() == store_->num_entities(),
-               "trace_source describes a different dataset");
+  const TraceSource& default_source =
+      DigitalTraceIndex::PickSource(options, *store_);
 
   // One lane per shard: a ReadPin + a SnapshotSignature copy captured with
   // a version handshake — version -> signature -> pin, accepted only when
@@ -199,7 +197,7 @@ TopKResult ShardedIndex::SearchLanes(EntityId q, int k,
     // new trace into a lane pinned before it.
     lanes[s] = {&pins[s].tree(),
                 shard_sources_[s] != nullptr ? shard_sources_[s]
-                                             : default_source,
+                                             : &default_source,
                 coarse[s], pins[s].version()};
   }
 
@@ -223,7 +221,7 @@ TopKResult ShardedIndex::SearchLanes(EntityId q, int k,
   std::vector<ScoredEntity> merged_topk;
   ParallelFor(workers, num_shards, [&](size_t begin, size_t end) {
     per_group[begin] =
-        ForestTopKQuery({lanes.data() + begin, end - begin}, *default_source,
+        ForestTopKQuery({lanes.data() + begin, end - begin}, default_source,
                         shards_[0]->hasher(), measure, q, k, group_options);
     const std::vector<ScoredEntity>& items = per_group[begin].items;
     if (workers <= 1 || items.empty()) return;

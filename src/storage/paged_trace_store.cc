@@ -215,22 +215,4 @@ std::vector<std::vector<CellId>> PagedTraceStore::ReadEntity(
   return out;
 }
 
-Status PagedTraceStore::TouchEntity(BufferPool* pool, EntityId e,
-                                    ReadStats* stats) const {
-  DT_CHECK(e < dir_.size());
-  const DirEntry& d = dir_[e];
-  const size_t first = d.offset / kPageSize;
-  const size_t last =
-      d.bytes == 0 ? first : (d.offset + d.bytes - 1) / kPageSize;
-  for (size_t p = first; p <= last; ++p) {
-    BufferPool::PinOutcome outcome;
-    const uint8_t* data = nullptr;
-    const Status st = pool->Pin(pages_[p], &data, &outcome);
-    if (stats != nullptr) stats->Charge(outcome);
-    if (!st.ok()) return st;
-    pool->Unpin(pages_[p]);
-  }
-  return Status::Ok();
-}
-
 }  // namespace dtrace

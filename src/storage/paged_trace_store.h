@@ -97,13 +97,6 @@ class PagedTraceStore {
                           std::vector<uint8_t>* out,
                           ReadStats* stats = nullptr) const;
 
-  /// Touches (pins+unpins) every page of entity `e` without materializing —
-  /// a pure pool-warming pass (the prefetch pipeline materializes instead;
-  /// this remains for access-hook emulation and tests). Stops at the first
-  /// failed pin.
-  Status TouchEntity(BufferPool* pool, EntityId e,
-                     ReadStats* stats = nullptr) const;
-
  private:
   struct DirEntry {
     uint64_t offset;  // byte offset into the logical data area

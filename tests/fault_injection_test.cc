@@ -411,9 +411,7 @@ TEST(FaultCountersTest, MergeShardTopKSumsFaultCountersAcrossShards) {
 
 TEST(FaultQuarantineTest, CorruptTreePagesQuarantineRepackAndRecover) {
   FaultWorld& w = World();
-  bool saw_quarantine = false;
-  bool saw_repair = false;  // Ok answer after a quarantine + repack
-  for (uint64_t seed = 100; seed < 140; ++seed) {
+  const auto enable_faulty_tree = [&](uint64_t seed) {
     FaultInjectionConfig cfg;
     cfg.seed = seed;
     cfg.sticky_page_rate = 0.05;  // some pages unreadable from birth
@@ -422,6 +420,11 @@ TEST(FaultQuarantineTest, CorruptTreePagesQuarantineRepackAndRecover) {
     topts.disk.pool_fraction = 0.5;
     topts.disk.faults = cfg;
     w.oracle->EnablePagedTree(topts);
+  };
+  bool saw_quarantine = false;
+  bool saw_repair = false;  // Ok answer after a quarantine + repack
+  for (uint64_t seed = 100; seed < 140; ++seed) {
+    enable_faulty_tree(seed);
     for (size_t i = 0; i < w.queries.size(); ++i) {
       const TopKResult r = w.oracle->Query(w.queries[i], kTopK, w.measure());
       Tally t;
@@ -440,6 +443,31 @@ TEST(FaultQuarantineTest, CorruptTreePagesQuarantineRepackAndRecover) {
   }
   EXPECT_TRUE(saw_quarantine) << "no schedule ever tripped the quarantine";
   EXPECT_TRUE(saw_repair) << "no quarantined query ever recovered";
+
+  // The same schedules through QueryMany: a batch entry is a Query call,
+  // so it quarantines, repacks and retries exactly like the loop above.
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("QueryMany threads=" + std::to_string(threads));
+    bool saw_batch_repair = false;
+    for (uint64_t seed = 100; seed < 140; ++seed) {
+      enable_faulty_tree(seed);
+      const std::vector<TopKResult> batch =
+          w.oracle->QueryMany(w.queries, kTopK, w.measure(), {}, threads);
+      for (size_t i = 0; i < w.queries.size(); ++i) {
+        const TopKResult& r = batch[i];
+        Tally t;
+        CheckResult(w.expected[i], r, &t, "QueryMany quarantine", seed);
+        if (r.stats.pages_quarantined > 0 && r.status.ok()) {
+          saw_batch_repair = true;
+        }
+        if (!r.status.ok()) {
+          EXPECT_GT(r.stats.pages_quarantined, 0u) << "seed " << seed;
+        }
+      }
+      w.oracle->DisablePagedTree();
+    }
+    EXPECT_TRUE(saw_batch_repair) << "no quarantined batch query recovered";
+  }
 }
 
 TEST(FaultQuarantineTest, ShardedLanesQuarantineRepackAndRecover) {

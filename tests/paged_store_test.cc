@@ -66,12 +66,12 @@ TEST_F(PagedStoreTest, SmallPoolCausesMisses) {
     }
   }
   BufferPool tiny(&disk, 1);
-  for (EntityId e : order) paged.TouchEntity(&tiny, e);
+  for (EntityId e : order) paged.ReadEntity(&tiny, e);
   const uint64_t tiny_reads = disk.reads();
 
   disk.ResetStats();
   BufferPool big(&disk, paged.num_pages());
-  for (EntityId e : order) paged.TouchEntity(&big, e);
+  for (EntityId e : order) paged.ReadEntity(&big, e);
   const uint64_t big_reads = disk.reads();
   // The big pool reads each page at most once across all rounds.
   EXPECT_LE(big_reads, paged.num_pages());
@@ -140,16 +140,6 @@ TEST_F(PagedStoreTest, PackedReadDecodesToTheSameCells) {
     }
     EXPECT_EQ(off, packed.size());
   }
-}
-
-TEST_F(PagedStoreTest, TouchVisitsAllEntityPages) {
-  SimDisk disk;
-  PagedTraceStore paged(*store_, &disk);
-  BufferPool pool(&disk, 2);
-  disk.ResetStats();
-  paged.TouchEntity(&pool, 7);
-  const auto cells = paged.ReadEntity(&pool, 7);
-  SUCCEED();  // no aborts: directory and page ranges agree
 }
 
 }  // namespace

@@ -257,6 +257,56 @@ TEST(SnapshotPersistenceTest, KindMismatchIsCorruption) {
   LoadedShardedIndex loaded;
   const Status s = ShardedIndex::LoadSnapshot(env, &loaded);
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.message();
+  // The reverse direction: a sharded snapshot is never a single-index one,
+  // not even with one shard (its kind and section names differ).
+  for (const int num_shards : {1, 3}) {
+    ShardedIndex sharded = ShardedIndex::Build(
+        dataset.store,
+        {.num_shards = num_shards,
+         .index = IndexOptions{.num_functions = 32, .seed = 17}});
+    MemSnapshotEnv sharded_env;
+    ASSERT_TRUE(sharded.SaveSnapshot(&sharded_env).ok());
+    LoadedIndex single;
+    const Status r = DigitalTraceIndex::LoadSnapshot(sharded_env, &single);
+    EXPECT_EQ(r.code(), StatusCode::kCorruption)
+        << num_shards << " shards: " << r.message();
+  }
+}
+
+// Pins the section layout both facades share: kind, names and order.
+TEST(SnapshotPersistenceTest, ManifestSectionsPinTheFormat) {
+  Dataset dataset = MakeSynDataset(120, /*seed=*/305);
+  const IndexOptions opts{.num_functions = 32, .seed = 17};
+  const auto newest_sections = [](const MemSnapshotEnv& env,
+                                  uint64_t* kind) {
+    SnapshotManifest manifest;
+    EXPECT_TRUE(LoadNewestManifest(env, &manifest).ok());
+    *kind = manifest.kind;
+    std::vector<std::string> names;
+    for (const auto& section : manifest.sections) {
+      names.push_back(section.name);
+    }
+    return names;
+  };
+  uint64_t kind = 0;
+  MemSnapshotEnv single_env;
+  ASSERT_TRUE(DigitalTraceIndex::Build(dataset.store, opts)
+                  .SaveSnapshot(&single_env)
+                  .ok());
+  EXPECT_EQ(newest_sections(single_env, &kind),
+            (std::vector<std::string>{"config", "hierarchy", "traces",
+                                      "tree"}));
+  EXPECT_EQ(kind, kSnapshotKindIndex);
+  MemSnapshotEnv sharded_env;
+  ASSERT_TRUE(
+      ShardedIndex::Build(dataset.store, {.num_shards = 2, .index = opts})
+          .SaveSnapshot(&sharded_env, /*compress=*/true)
+          .ok());
+  EXPECT_EQ(newest_sections(sharded_env, &kind),
+            (std::vector<std::string>{"config", "hierarchy", "traces_0",
+                                      "tree_0", "traces_1", "tree_1",
+                                      "router"}));
+  EXPECT_EQ(kind, kSnapshotKindSharded);
 }
 
 // Returns the (lexicographically newest == numerically newest, the epoch
