@@ -122,10 +122,9 @@ void DigitalTraceIndex::PackAndPublishLocked(bool repack) const {
 uint64_t DigitalTraceIndex::QuarantineDamagedPages(const ReadPin& pin) const {
   const PagedMinSigTree* damaged = pin.snapshot();
   if (damaged == nullptr) return 0;
-  const uint64_t quarantined = damaged->TakeCorruptObserved();
+  const uint64_t quarantined = damaged->CorruptObserved();
   if (quarantined == 0) return 0;
   const std::lock_guard<std::mutex> pack(cc_->pack_mu);
-  if (!cc_->paged_enabled.load(std::memory_order_relaxed)) return quarantined;
   {
     const std::lock_guard<std::mutex> lock(cc_->head_mu);
     // A concurrent publish (maintenance commit, or another reader's repair)
@@ -153,11 +152,10 @@ void DigitalTraceIndex::CommitMutation(const std::function<void()>& mutate) {
   // snapshot while this packs, and the head swap is atomic under head_mu.
   if (!cc_->paged_enabled.load(std::memory_order_acquire)) return;
   const std::lock_guard<std::mutex> pack(cc_->pack_mu);
-  // Skip when paging was switched off meanwhile, or when a racing commit's
-  // publish already packed this revision in (revision only grows, and any
-  // commit after this read publishes for itself).
-  if (cc_->paged_enabled.load(std::memory_order_relaxed) &&
-      cc_->revision.load(std::memory_order_acquire) != cc_->packed_revision) {
+  // Skip when a racing commit's publish already packed this revision in
+  // (revision only grows, and any commit after this read publishes for
+  // itself).
+  if (cc_->revision.load(std::memory_order_acquire) != cc_->packed_revision) {
     PackAndPublishLocked(/*repack=*/true);
   }
 }
@@ -169,16 +167,6 @@ void DigitalTraceIndex::EnablePagedTree(const PagedTreeOptions& options) {
   cc_->paged_options = options;
   PackAndPublishLocked(/*repack=*/false);
   cc_->paged_enabled.store(true, std::memory_order_release);
-}
-
-void DigitalTraceIndex::DisablePagedTree() {
-  const std::lock_guard<std::mutex> pack(cc_->pack_mu);
-  cc_->paged_enabled.store(false, std::memory_order_release);
-  const std::lock_guard<std::mutex> lock(cc_->head_mu);
-  // Readers still holding pins keep the snapshot alive until they drain.
-  cc_->head.reset();
-  cc_->version.store(cc_->revision.load(std::memory_order_acquire),
-                     std::memory_order_relaxed);
 }
 
 const PagedMinSigTree& DigitalTraceIndex::paged_tree() const {
@@ -213,9 +201,9 @@ TopKResult DigitalTraceIndex::Query(EntityId q, int k,
     // pin must not leak its new trace into a search walking the old tree.
     QueryOptions pinned = options;
     pinned.trace_as_of = pin.version();
-    TopKQueryProcessor proc(pin.tree(), PickSource(options, *store_),
-                            *hasher_, measure);
-    return proc.Query(q, k, pinned);
+    const SearchLane lane{&pin.tree(), /*coarse_sig=*/{}, pin.version()};
+    return ForestTopKQuery({&lane, 1}, PickSource(options, *store_),
+                           *hasher_, measure, q, k, pinned);
   };
   uint64_t quarantined = 0;
   {
@@ -239,9 +227,8 @@ TopKResult DigitalTraceIndex::BruteForce(EntityId q, int k,
   const ReadPin pin = PinForRead();
   QueryOptions pinned = options;
   pinned.trace_as_of = pin.version();
-  TopKQueryProcessor proc(pin.tree(), PickSource(options, *store_), *hasher_,
-                          measure);
-  return proc.BruteForce(q, k, pinned);
+  return BruteForceTopK(pin.tree(), PickSource(options, *store_), measure, q,
+                        k, pinned);
 }
 
 std::vector<TopKResult> DigitalTraceIndex::QueryMany(

@@ -151,12 +151,12 @@ class DigitalTraceIndex {
   /// zone maps may *shrink* traversal counters). The in-memory tree stays
   /// authoritative: each maintenance commit packs a fresh snapshot from it
   /// and publishes atomically — readers drain on the old one, never waiting
-  /// on the repack. Not supported in store_full_signatures mode (the packed
-  /// slot layout is routing-only).
+  /// on the repack. The switch is one-way: calling this again on a paged
+  /// index repacks under the new `options` and publishes at an unchanged
+  /// version() (not counted in snapshot_publishes), while pins on the old
+  /// snapshot keep answering until they drain. Not supported in
+  /// store_full_signatures mode (the packed slot layout is routing-only).
   void EnablePagedTree(const PagedTreeOptions& options = {});
-  /// Back to the in-memory tree; drops the published snapshot (readers
-  /// still pinning it keep it alive until they drain).
-  void DisablePagedTree();
   bool paged_tree_enabled() const {
     return cc_->paged_enabled.load(std::memory_order_acquire);
   }
@@ -232,14 +232,17 @@ class DigitalTraceIndex {
   ReadPin PinForRead() const;
 
   /// Quarantine repair after a search on `pin` failed (DESIGN-storage.md
-  /// "Fault model and integrity"): drains the unrecoverable tree pages the
-  /// pinned snapshot observed and, if there were any, repacks the snapshot
+  /// "Fault model and integrity"): reads how many unrecoverable tree pages
+  /// the pinned snapshot has observed and, if any, repacks the snapshot
   /// from the authoritative in-memory tree onto fresh pages — unless a
-  /// concurrent publish already retired it. Returns the pages quarantined:
-  /// 0 for an in-memory pin, or for a failure that damaged no tree page
-  /// (trace-side errors have no authoritative copy to repair from). A
-  /// nonzero return means the caller should drop `pin`, re-pin, and retry
-  /// once; Query and the ShardedIndex lanes both do.
+  /// concurrent publish (say, another failed query's repair) already
+  /// retired it. The count is sticky per snapshot, so every query that
+  /// failed on the same damaged snapshot gets it back, not just the first
+  /// to ask. Returns the pages quarantined: 0 for an in-memory pin, or for
+  /// a failure on a snapshot with no damaged tree page (trace-side errors
+  /// have no authoritative copy to repair from). A nonzero return means
+  /// the caller should drop `pin`, re-pin, and retry once; Query and the
+  /// ShardedIndex lanes both do.
   uint64_t QuarantineDamagedPages(const ReadPin& pin) const;
 
   /// Monotone count of committed mutations visible to new pins. Bracketing
@@ -304,7 +307,7 @@ class DigitalTraceIndex {
  private:
   // The scale-out layer's snapshot path serializes each shard's tree under
   // that shard's latch and restores shards through the private constructor;
-  // its search lanes resolve their default source through PickSource.
+  // its search lanes resolve their source through PickSource.
   friend class ShardedIndex;
 
   DigitalTraceIndex(std::shared_ptr<TraceStore> store, IndexOptions options,
@@ -325,14 +328,14 @@ class DigitalTraceIndex {
     /// Index teardown runs after any order of sibling destructions, so the
     /// final head snapshot must not reach into a shared disk/pool that may
     /// already be gone: abandon its backing instead of reclaiming it. All
-    /// earlier retirements (repack, repair, DisablePagedTree) happen while
-    /// the backing is alive and do reclaim.
+    /// earlier retirements (repack, repair, re-enable) happen while the
+    /// backing is alive and do reclaim.
     ~Coordination();
     /// Guards the in-memory tree: write-held across every mutation,
     /// read-held by in-memory-mode pins and by snapshot packers.
     RWLatch latch;
     /// Serializes snapshot packers (writer-side repack, quarantine repair,
-    /// Enable/DisablePagedTree) and guards paged_options/packed_revision.
+    /// EnablePagedTree) and guards paged_options/packed_revision.
     std::mutex pack_mu;
     /// Guards (head, version) as one consistent pair. Critical sections are
     /// pointer copies only — this is the "atomic publication" the readers
@@ -349,6 +352,7 @@ class DigitalTraceIndex {
     /// Revision the current head was packed from (under pack_mu).
     uint64_t packed_revision = 0;
     std::atomic<uint64_t> snapshot_publishes{0};
+    /// Set once by the first EnablePagedTree; never cleared.
     std::atomic<bool> paged_enabled{false};
     /// Pack configuration (under pack_mu: the repack fault-seed advance
     /// mutates it, writer-owned — never from a bare const path).

@@ -588,7 +588,6 @@ Status ShardedIndex::LoadSnapshot(const SnapshotEnv& env,
   options.index = restored.options;
   std::unique_ptr<ShardedIndex> index(
       new ShardedIndex(restored.store, options));
-  index->shard_sources_.assign(num_shards, nullptr);
   for (int shard = 0; shard < num_shards; ++shard) {
     index->shards_.emplace_back(new DigitalTraceIndex(
         restored.store, options.index,

@@ -111,12 +111,14 @@ class PagedMinSigTree final : public TreeSource {
 
   /// Number of unrecoverable-page observations (pins that exhausted the
   /// pool's retries, or blobs that failed decode) made by this snapshot's
-  /// cursors, cleared on read. The quarantine path (core/index.cc) consults
-  /// this after a failed query: a nonzero count means the snapshot itself
-  /// is damaged and repacking it from the authoritative in-memory tree —
-  /// onto fresh pages — repairs it. Thread-safe.
-  uint64_t TakeCorruptObserved() const {
-    return corrupt_observed_->exchange(0, std::memory_order_relaxed);
+  /// cursors so far. The quarantine path (core/index.cc) consults this
+  /// after a failed query: a nonzero count means the snapshot itself is
+  /// damaged and repacking it from the authoritative in-memory tree — onto
+  /// fresh pages — repairs it. Never cleared: a damaged snapshot stays
+  /// damaged, so every query that failed on it sees a nonzero count, in
+  /// whatever order they ask. Thread-safe.
+  uint64_t CorruptObserved() const {
+    return corrupt_observed_->load(std::memory_order_relaxed);
   }
   /// Resident zone-map footprint (the 4 bytes/slot the search keeps in
   /// memory to avoid faults; compare against PackedBytes).

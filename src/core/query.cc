@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <memory>
-#include <mutex>
 
 #include "util/check.h"
-#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace dtrace {
@@ -180,7 +178,6 @@ class FrontierHeap {
 // allocation-free (capacity stays at the high-water mark).
 struct EvalScratch {
   std::vector<uint32_t> c_sizes, inter;
-  std::vector<double> scores;
   std::vector<EntityId> batch;  // prefetch stream: candidates minus q
 };
 
@@ -235,8 +232,7 @@ class QueryKernel {
   // without a cursor-side decode. The merge path gallops across undecoded
   // blocks from their skip entries; the bitmap path expands one block at a
   // time into a stack buffer and probes bits. Both count exactly the set
-  // Intersect would count over the decoded span, and neither allocates —
-  // safe from eval_threads workers sharing this kernel read-only.
+  // Intersect would count over the decoded span, and neither allocates.
   uint32_t IntersectPacked(int level0, const PackedIdListView& packed) const {
     const auto& bits = bits_[level0];
     if (bits.empty()) {
@@ -275,98 +271,48 @@ void BeginPrefetch(TraceCursor& cursor, std::span<const EntityId> candidates,
 }
 
 // Exact evaluation of a batch of candidates (one leaf's members, or the
-// whole population in BruteForce). Serial path streams through the query's
-// cursor; with eval_threads > 1 scores are computed into position-indexed
-// slots by workers holding their own cursors, then offered to the heap in
-// serial candidate order — so the result is bit-identical to the serial
-// path for every thread count. With options.prefetch_depth > 0 each cursor
-// additionally pipelines its candidates' materialization ahead of scoring.
+// whole population in BruteForceTopK), streamed through `cursor` and offered
+// to the heap in candidate order. With options.prefetch_depth > 0 the
+// cursor pipelines its candidates' materialization ahead of scoring.
 //
 // The query side of every intersection comes from `kernel` (built once per
 // query), so the inner loop touches the cursor exactly once per
 // (candidate, level): one windowed span read, one kernel pass — no repeated
 // query-record fetches, no per-candidate allocation.
-// `status` latches the FIRST unrecoverable storage error any evaluation
-// cursor hit (the parallel path merges per-worker cursor statuses under the
-// same lock that merges their io); the caller stops scoring and surfaces it
-// through TopKResult::status instead of trusting the scores.
-// `as_of` is the commit version the parallel path's worker cursors are
-// opened at; it must match the version `cursor` (the serial/shared cursor)
-// was opened at, so both paths read identical candidate traces.
-void EvalCandidates(const TraceSource& source, uint64_t as_of,
-                    const AssociationMeasure& measure, EntityId q,
+// `status` latches the FIRST unrecoverable storage error the cursor hit;
+// the caller stops scoring and surfaces it through TopKResult::status
+// instead of trusting the scores.
+void EvalCandidates(const AssociationMeasure& measure, EntityId q,
                     std::span<const uint32_t> q_sizes,
                     const QueryKernel& kernel, TimeStep w0, TimeStep w1,
                     std::span<const EntityId> candidates,
                     const QueryOptions& options, TraceCursor& cursor,
                     TopKHeap& heap, QueryStats& stats, EvalScratch& scratch,
                     Status& status) {
-  // Below this, thread spawn/cursor-open overhead dominates the evaluation.
-  constexpr size_t kMinParallelEval = 16;
   const int m = static_cast<int>(q_sizes.size());
-  const int threads =
-      options.eval_threads == 1 ? 1 : ResolveThreadCount(options.eval_threads);
-  if (threads <= 1 || candidates.size() < kMinParallelEval) {
-    scratch.c_sizes.resize(m);
-    scratch.inter.resize(m);
-    BeginPrefetch(cursor, candidates, q, options.prefetch_depth,
-                  scratch.batch);
-    for (EntityId e : candidates) {
-      if (e == q) continue;
-      for (Level l = 1; l <= m; ++l) {
-        // Compressed-direct first: a valid view intersects straight off the
-        // encoded blocks; otherwise the decoded-span path (the only path
-        // for uncompressed sources and restricted windows).
-        const auto packed = cursor.PackedCellsInWindow(e, l, w0, w1);
-        if (packed.valid()) {
-          scratch.c_sizes[l - 1] = packed.size();
-          scratch.inter[l - 1] = kernel.IntersectPacked(l - 1, packed);
-          continue;
-        }
-        const auto span = cursor.CellsInWindow(e, l, w0, w1);
-        scratch.c_sizes[l - 1] = static_cast<uint32_t>(span.size());
-        scratch.inter[l - 1] = kernel.Intersect(l - 1, span);
+  scratch.c_sizes.resize(m);
+  scratch.inter.resize(m);
+  BeginPrefetch(cursor, candidates, q, options.prefetch_depth, scratch.batch);
+  for (EntityId e : candidates) {
+    if (e == q) continue;
+    for (Level l = 1; l <= m; ++l) {
+      // Compressed-direct first: a valid view intersects straight off the
+      // encoded blocks; otherwise the decoded-span path (the only path
+      // for uncompressed sources and restricted windows).
+      const auto packed = cursor.PackedCellsInWindow(e, l, w0, w1);
+      if (packed.valid()) {
+        scratch.c_sizes[l - 1] = packed.size();
+        scratch.inter[l - 1] = kernel.IntersectPacked(l - 1, packed);
+        continue;
       }
-      heap.Offer(e, measure.Score(q_sizes, scratch.c_sizes, scratch.inter));
-      ++stats.entities_checked;
+      const auto span = cursor.CellsInWindow(e, l, w0, w1);
+      scratch.c_sizes[l - 1] = static_cast<uint32_t>(span.size());
+      scratch.inter[l - 1] = kernel.Intersect(l - 1, span);
     }
-    status.Update(cursor.status());
-    return;
-  }
-  scratch.scores.assign(candidates.size(), 0.0);
-  std::vector<double>& scores = scratch.scores;
-  std::mutex io_mu;
-  ParallelFor(threads, candidates.size(), [&](size_t begin, size_t end) {
-    auto local = source.OpenCursorAt(as_of);
-    std::vector<uint32_t> c_sizes(m), inter(m);
-    std::vector<EntityId> batch;
-    BeginPrefetch(*local, candidates.subspan(begin, end - begin), q,
-                  options.prefetch_depth, batch);
-    for (size_t i = begin; i < end; ++i) {
-      const EntityId e = candidates[i];
-      if (e == q) continue;
-      for (Level l = 1; l <= m; ++l) {
-        const auto packed = local->PackedCellsInWindow(e, l, w0, w1);
-        if (packed.valid()) {
-          c_sizes[l - 1] = packed.size();
-          inter[l - 1] = kernel.IntersectPacked(l - 1, packed);
-          continue;
-        }
-        const auto span = local->CellsInWindow(e, l, w0, w1);
-        c_sizes[l - 1] = static_cast<uint32_t>(span.size());
-        inter[l - 1] = kernel.Intersect(l - 1, span);
-      }
-      scores[i] = measure.Score(q_sizes, c_sizes, inter);
-    }
-    const std::lock_guard<std::mutex> lock(io_mu);
-    stats.io.Add(local->io());
-    status.Update(local->status());
-  });
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (candidates[i] == q) continue;
-    heap.Offer(candidates[i], scores[i]);
+    heap.Offer(e, measure.Score(q_sizes, scratch.c_sizes, scratch.inter));
     ++stats.entities_checked;
   }
+  status.Update(cursor.status());
 }
 
 }  // namespace
@@ -383,30 +329,24 @@ double QueryStats::pruning_effectiveness(size_t num_entities, int k) const {
   return std::clamp(extra / static_cast<double>(num_entities), 0.0, 1.0);
 }
 
-TopKQueryProcessor::TopKQueryProcessor(const TreeSource& tree,
-                                       const TraceSource& source,
-                                       const CellHasher& hasher,
-                                       const AssociationMeasure& measure)
-    : tree_(&tree), source_(&source), hasher_(&hasher), measure_(&measure) {}
-
 TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
-                           const TraceSource& query_source,
+                           const TraceSource& source,
                            const CellHasher& hasher,
                            const AssociationMeasure& measure, EntityId q,
                            int k, const QueryOptions& options) {
   DT_CHECK(k >= 1);
   DT_CHECK(!lanes.empty());
   const int nh = hasher.num_functions();
-  const int m = query_source.hierarchy().num_levels();
+  const int m = source.hierarchy().num_levels();
   for (const SearchLane& lane : lanes) {
-    DT_CHECK(lane.tree != nullptr && lane.source != nullptr);
+    DT_CHECK(lane.tree != nullptr);
     DT_CHECK_MSG(lane.tree->num_functions() == nh,
                  "lane tree hash family differs from the query hasher");
     DT_CHECK_MSG(lane.tree->num_levels() == m,
                  "lane tree depth differs from the query hierarchy");
   }
   Timer timer;
-  const auto cursor = query_source.OpenCursorAt(options.trace_as_of);
+  const auto cursor = source.OpenCursorAt(options.trace_as_of);
   // Per-lane node cursors: every structural read below goes through them,
   // so the identical search runs over heap nodes (MinSigTree, zero I/O) or
   // packed pages (PagedMinSigTree, charged to stats.io at the end).
@@ -414,26 +354,24 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
   for (size_t i = 0; i < lanes.size(); ++i) {
     node_cursors[i] = lanes[i].tree->OpenNodeCursor();
   }
-  // Lanes whose source IS the query source — at the same version, when
-  // versions matter — share the query cursor (so a 1-lane forest charges
-  // exactly the single-tree search's I/O); other lanes open their own
-  // cursor lazily, at the lane's as_of, on first leaf evaluation.
+  // Lanes at the query's version — every lane, when the source is
+  // unversioned — share the query cursor (so a 1-lane forest charges
+  // exactly the single-tree search's I/O); a lane pinned at another version
+  // opens its own cursor lazily, at its as_of, on first leaf evaluation.
   std::vector<std::unique_ptr<TraceCursor>> lane_cursors(lanes.size());
   const auto lane_cursor = [&](uint32_t lane) -> TraceCursor& {
-    if (lanes[lane].source == &query_source &&
-        (!query_source.versioned() ||
-         lanes[lane].as_of == options.trace_as_of)) {
+    if (!source.versioned() || lanes[lane].as_of == options.trace_as_of) {
       return *cursor;
     }
     if (lane_cursors[lane] == nullptr) {
-      lane_cursors[lane] = lanes[lane].source->OpenCursorAt(lanes[lane].as_of);
+      lane_cursors[lane] = source.OpenCursorAt(lanes[lane].as_of);
     }
     return *lane_cursors[lane];
   };
 
   const TimeStep w0 = options.time_window ? options.time_window->begin : 0;
   const TimeStep w1 =
-      options.time_window ? options.time_window->end : query_source.horizon();
+      options.time_window ? options.time_window->end : source.horizon();
 
   TopKResult result;
   QueryStats& stats = result.stats;
@@ -503,10 +441,9 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
   }
 
   // Thread-local like the hash table: Build overwrites all per-query state,
-  // only buffer capacity survives (eval_threads workers share it read-only).
+  // only buffer capacity survives.
   static thread_local QueryKernel kernel;
-  kernel.Build(*cursor, q, query_source.hierarchy(), query_source.horizon(),
-               w0, w1);
+  kernel.Build(*cursor, q, source.hierarchy(), source.horizon(), w0, w1);
 
   TopKHeap heap(k);
   EvalScratch scratch;
@@ -776,11 +713,9 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
       lane_expanded[entry.lane] = 1;
 
       if (node.level == m) {
-        // Leaf: exact evaluation of every member (Lines 10-14), through
-        // the owning lane's trace source — in parallel past the frontier
-        // when requested.
-        EvalCandidates(*lanes[entry.lane].source, lanes[entry.lane].as_of,
-                       measure, q, q_sizes, kernel, w0, w1, node.entities,
+        // Leaf: exact evaluation of every member (Lines 10-14), read at
+        // the owning lane's version.
+        EvalCandidates(measure, q, q_sizes, kernel, w0, w1, node.entities,
                        options, lane_cursor(entry.lane), heap, stats, scratch,
                        search_status);
         publish_kth();
@@ -853,45 +788,35 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
   return result;
 }
 
-TopKResult TopKQueryProcessor::Query(EntityId q, int k,
-                                     const QueryOptions& options) const {
-  // The lane reads candidates at the same version the query side does, so
-  // the one-lane forest shares the query cursor and charges I/O exactly
-  // like the historical single-tree search.
-  const SearchLane lane{tree_, source_, /*coarse_sig=*/{}, options.trace_as_of};
-  return ForestTopKQuery({&lane, 1}, *source_, *hasher_, *measure_, q, k,
-                         options);
-}
-
-TopKResult TopKQueryProcessor::BruteForce(EntityId q, int k,
-                                          const QueryOptions& options) const {
+TopKResult BruteForceTopK(const TreeSource& tree, const TraceSource& source,
+                          const AssociationMeasure& measure, EntityId q,
+                          int k, const QueryOptions& options) {
   DT_CHECK(k >= 1);
   Timer timer;
-  const int m = source_->hierarchy().num_levels();
-  const auto cursor = source_->OpenCursorAt(options.trace_as_of);
+  const int m = source.hierarchy().num_levels();
+  const auto cursor = source.OpenCursorAt(options.trace_as_of);
   const TimeStep w0 = options.time_window ? options.time_window->begin : 0;
   const TimeStep w1 =
-      options.time_window ? options.time_window->end : source_->horizon();
+      options.time_window ? options.time_window->end : source.horizon();
   std::vector<uint32_t> q_sizes(m);
   static thread_local QueryKernel kernel;
-  kernel.Build(*cursor, q, source_->hierarchy(), source_->horizon(), w0, w1);
+  kernel.Build(*cursor, q, source.hierarchy(), source.horizon(), w0, w1);
   for (Level l = 1; l <= m; ++l) {
     q_sizes[l - 1] =
         static_cast<uint32_t>(cursor->CellsInWindow(q, l, w0, w1).size());
   }
 
   std::vector<EntityId> candidates;
-  candidates.reserve(tree_->num_entities());
-  for (EntityId e = 0; e < source_->num_entities(); ++e) {
-    if (e != q && tree_->Contains(e)) candidates.push_back(e);
+  candidates.reserve(tree.num_entities());
+  for (EntityId e = 0; e < source.num_entities(); ++e) {
+    if (e != q && tree.Contains(e)) candidates.push_back(e);
   }
 
   TopKResult result;
   TopKHeap heap(k);
   EvalScratch scratch;
-  EvalCandidates(*source_, options.trace_as_of, *measure_, q, q_sizes, kernel,
-                 w0, w1, candidates, options, *cursor, heap, result.stats,
-                 scratch, result.status);
+  EvalCandidates(measure, q, q_sizes, kernel, w0, w1, candidates, options,
+                 *cursor, heap, result.stats, scratch, result.status);
   result.items = std::move(heap).Sorted();
   result.stats.io.Add(cursor->io());
   result.status.Update(cursor->status());

@@ -60,9 +60,7 @@ struct QueryStats {
   /// elapsed_seconds it survives the fan-out callers' wall-clock overwrite.
   double work_seconds = 0.0;
   /// I/O charged by the TraceSource the query evaluated candidates against
-  /// (all-zero for the in-memory store). With eval_threads > 1 the page
-  /// counts can vary across thread counts (workers share the buffer pool);
-  /// results never do.
+  /// (all-zero for the in-memory store).
   TraceIoStats io;
 
   double pruning_effectiveness(size_t num_entities, int k) const;
@@ -148,7 +146,7 @@ class CrossShardThreshold {
 };
 
 /// Per-query knobs: time window, approximation slack, the trace source
-/// candidates are read from, and evaluation parallelism.
+/// candidates are read from, and the leaf-prefetch lookahead.
 struct QueryOptions {
   /// When set, association degrees are computed over ST-cells inside the
   /// window only, for both the query and every candidate. Pruning stays
@@ -164,8 +162,9 @@ struct QueryOptions {
   double approximation_epsilon = 0.0;
   /// Evaluate the query and every candidate against this source instead of
   /// the index's in-memory store (e.g. a PagedTraceSource over the same
-  /// dataset). Null = in-memory. Read by DigitalTraceIndex::Query/QueryMany;
-  /// a TopKQueryProcessor is already bound to its source.
+  /// dataset). Null = in-memory. Read by the DigitalTraceIndex and
+  /// ShardedIndex query entry points; ForestTopKQuery and BruteForceTopK
+  /// take their source as an argument instead.
   const TraceSource* trace_source = nullptr;
   /// Commit version the QUERY entity's trace (and, for single-lane
   /// searches, every candidate's) is read as of — the version the caller's
@@ -174,12 +173,6 @@ struct QueryOptions {
   /// the tree it walks and the traces it scores belong to the same epoch.
   /// Ignored by unversioned sources. Default: latest.
   uint64_t trace_as_of = kLatestVersion;
-  /// Worker threads for exact candidate evaluations past the frontier (leaf
-  /// members and the brute-force scan): 1 = serial (default), 0 = auto,
-  /// N > 1 = that many workers. Scores are computed in parallel and offered
-  /// to the result heap in serial order, so results are identical for every
-  /// value. Keep at 1 inside QueryMany unless you want nested parallelism.
-  int eval_threads = 1;
   /// Storage-backed leaf-prefetch lookahead: while the current candidate is
   /// being scored, the cursor's pipeline worker materializes up to this many
   /// upcoming candidates of the leaf batch (0 = off, the synchronous path).
@@ -202,15 +195,13 @@ struct QueryOptions {
 
 /// One lane of a forest search (one shard of a ShardedIndex query): a tree
 /// (an in-memory MinSigTree or its paged snapshot — any TreeSource) over a
-/// slice of the entity population, the source its
-/// candidate traces are read from, and the lane's population-wide coarse
+/// slice of the entity population, and the lane's population-wide coarse
 /// signature (the shared router's level-1 min-signature over every member;
 /// empty = uncapped). The search derives each lane's admissible root bound
 /// from the coarse signature using its own transposed hash table, so the
 /// router costs no extra hashing per query.
 struct SearchLane {
   const TreeSource* tree = nullptr;
-  const TraceSource* source = nullptr;
   std::span<const uint64_t> coarse_sig = {};
   /// Commit version this lane's candidate traces are read as of (the
   /// version of the lane's read pin, matching the pinned tree above).
@@ -231,12 +222,18 @@ struct SearchLane {
 /// the intersection kernel, Remaining masks) is built once, not once per
 /// lane.
 ///
+/// Algorithm 2 is the one-lane case: best-first expansion, per-node upper
+/// bounds from partial pruned sets, and early termination (DESIGN.md
+/// Sec. 3.2 derives the bound). All trace reads — the query's own cells,
+/// candidate sizes, intersections — go through cursors opened on `source`,
+/// so the same search runs in-memory or storage-backed (DESIGN-storage.md).
+///
 /// Requirements: every lane's tree is built over the same hash family as
 /// `hasher` (same seed and width) and the same hierarchy, lane populations
-/// are disjoint, and every source describes the same dataset. The query's
-/// own cells are read through `query_source`; lane candidates through the
-/// lane's source (lanes sharing `query_source` reuse its cursor, so a
-/// 1-lane forest charges I/O exactly like TopKQueryProcessor::Query).
+/// are disjoint, and `source` describes the union population. The query's
+/// own cells are read as of options.trace_as_of; a lane's candidates as of
+/// its own as_of (lanes at the query's version — every lane of an
+/// unversioned source — share the query cursor, so I/O is charged once).
 /// Results are bit-identical to the single-tree search over the union
 /// population, by the same strict-termination tie canonicalization. With
 /// approximation slack the approximation_epsilon guarantee holds, also
@@ -244,38 +241,16 @@ struct SearchLane {
 /// never exceeds the final merged k-th score.
 /// QueryStats::shards_pruned counts lanes whose root was never expanded.
 TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
-                           const TraceSource& query_source,
+                           const TraceSource& source,
                            const CellHasher& hasher,
                            const AssociationMeasure& measure, EntityId q,
                            int k, const QueryOptions& options = {});
 
-/// Algorithm 2: exact top-k search over a MinSigTree with best-first
-/// expansion, per-node upper bounds from partial pruned sets, and early
-/// termination. See DESIGN.md Sec. 3.2 for the bound derivation. (A thin
-/// wrapper over the one-lane ForestTopKQuery.)
-///
-/// All trace reads — the query's own cells, candidate sizes, intersections —
-/// go through a per-query TraceCursor opened on `source`, so the same search
-/// runs in-memory or storage-backed (DESIGN-storage.md).
-class TopKQueryProcessor {
- public:
-  TopKQueryProcessor(const TreeSource& tree, const TraceSource& source,
-                     const CellHasher& hasher,
-                     const AssociationMeasure& measure);
-
-  /// Exact top-k associated entities to `q` among indexed entities.
-  TopKResult Query(EntityId q, int k, const QueryOptions& options = {}) const;
-
-  /// Oracle: evaluates every indexed entity (the brute-force comparator).
-  TopKResult BruteForce(EntityId q, int k,
-                        const QueryOptions& options = {}) const;
-
- private:
-  const TreeSource* tree_;
-  const TraceSource* source_;
-  const CellHasher* hasher_;
-  const AssociationMeasure* measure_;
-};
+/// Oracle: exact scores for every entity `tree` contains, read from
+/// `source` as of options.trace_as_of (the brute-force comparator).
+TopKResult BruteForceTopK(const TreeSource& tree, const TraceSource& source,
+                          const AssociationMeasure& measure, EntityId q,
+                          int k, const QueryOptions& options = {});
 
 }  // namespace dtrace
 

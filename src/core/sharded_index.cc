@@ -83,7 +83,6 @@ ShardedIndex ShardedIndex::Build(std::shared_ptr<TraceStore> store,
 
   ShardedIndex sharded(store, options);
   sharded.shards_.resize(num_shards);
-  sharded.shard_sources_.assign(num_shards, nullptr);
 
   if (options.stream_build) {
     // Streamed construction: sort (shard, position) runs through the
@@ -161,8 +160,7 @@ TopKResult ShardedIndex::SearchLanes(EntityId q, int k,
                                      const QueryOptions& options, int workers,
                                      uint64_t* quarantined) const {
   const size_t num_shards = shards_.size();
-  const TraceSource& default_source =
-      DigitalTraceIndex::PickSource(options, *store_);
+  const TraceSource& source = DigitalTraceIndex::PickSource(options, *store_);
 
   // One lane per shard: a ReadPin + a SnapshotSignature copy captured with
   // a version handshake — version -> signature -> pin, accepted only when
@@ -195,10 +193,7 @@ TopKResult ShardedIndex::SearchLanes(EntityId q, int k,
     // The lane reads candidate traces as of its own pin's version, so a
     // ReplaceEntity committing into one shard mid-search cannot leak its
     // new trace into a lane pinned before it.
-    lanes[s] = {&pins[s].tree(),
-                shard_sources_[s] != nullptr ? shard_sources_[s]
-                                             : &default_source,
-                coarse[s], pins[s].version()};
+    lanes[s] = {&pins[s].tree(), coarse[s], pins[s].version()};
   }
 
   // The lanes split into `workers` contiguous groups, and each worker
@@ -221,7 +216,7 @@ TopKResult ShardedIndex::SearchLanes(EntityId q, int k,
   std::vector<ScoredEntity> merged_topk;
   ParallelFor(workers, num_shards, [&](size_t begin, size_t end) {
     per_group[begin] =
-        ForestTopKQuery({lanes.data() + begin, end - begin}, default_source,
+        ForestTopKQuery({lanes.data() + begin, end - begin}, source,
                         shards_[0]->hasher(), measure, q, k, group_options);
     const std::vector<ScoredEntity>& items = per_group[begin].items;
     if (workers <= 1 || items.empty()) return;
@@ -382,19 +377,6 @@ void ShardedIndex::Refresh() {
 
 void ShardedIndex::EnablePagedTrees(const PagedTreeOptions& options) {
   for (auto& shard : shards_) shard->EnablePagedTree(options);
-}
-
-void ShardedIndex::DisablePagedTrees() {
-  for (auto& shard : shards_) shard->DisablePagedTree();
-}
-
-void ShardedIndex::AttachShardSource(int s, const TraceSource* source) {
-  DT_CHECK(s >= 0 && s < num_shards());
-  if (source != nullptr) {
-    DT_CHECK_MSG(source->num_entities() == store_->num_entities(),
-                 "shard source describes a different dataset");
-  }
-  shard_sources_[s] = source;
 }
 
 DigitalTraceIndex::ConcurrencyStats ShardedIndex::concurrency_stats() const {

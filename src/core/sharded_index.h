@@ -77,9 +77,7 @@ struct ShardedIndexOptions {
 /// Storage: all shards read the store the index was built over, or —
 /// exactly like DigitalTraceIndex — whatever `QueryOptions::trace_source`
 /// points at (e.g. one PagedTraceSource whose sharded BufferPool is shared
-/// by every shard's cursors). AttachShardSource instead gives a shard its
-/// own private source (per-shard buffer pool / device), which later
-/// scale-out work maps to per-worker storage.
+/// by every shard's cursors).
 ///
 /// The whole DigitalTraceIndex maintenance API routes through the shard
 /// map: InsertEntity/InsertEntities, UpdateEntity, RemoveEntity, Refresh.
@@ -192,15 +190,6 @@ class ShardedIndex {
   /// Results stay bit-identical under either schedule; merged QueryStats
   /// gain the summed tree-page I/O.
   void EnablePagedTrees(const PagedTreeOptions& options = {});
-  /// Back to in-memory trees in every shard.
-  void DisablePagedTrees();
-
-  /// Evaluate shard `s`'s queries against `source` instead of the store /
-  /// QueryOptions::trace_source (null restores the default). The source
-  /// must describe the same logical dataset as the store and outlive this
-  /// index. This is the per-shard-pool configuration: each shard can own a
-  /// private PagedTraceSource while answers stay bit-identical.
-  void AttachShardSource(int s, const TraceSource* source);
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
   int ShardOf(EntityId e) const {
@@ -255,7 +244,7 @@ class ShardedIndex {
   void AbsorbIntoRouter(int s, EntityId e);
   /// One pinned search: pins every lane through the version handshake and
   /// searches them in `workers` groups (1 = the serial schedule). On failure,
-  /// every shard drains and repairs the damaged tree pages its pin
+  /// every shard repairs the damaged tree pages its pinned snapshot
   /// observed, adding the count to *quarantined, before the pins drop.
   TopKResult SearchLanes(EntityId q, int k, const AssociationMeasure& measure,
                          const QueryOptions& options, int workers,
@@ -265,7 +254,6 @@ class ShardedIndex {
   ShardedIndexOptions options_;
   CoarseShardRouter router_;
   std::vector<std::unique_ptr<DigitalTraceIndex>> shards_;
-  std::vector<const TraceSource*> shard_sources_;  // null = default source
   double build_seconds_ = 0.0;
 };
 

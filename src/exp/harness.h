@@ -28,9 +28,10 @@ struct PeMeasurement {
   /// Records served by the leaf-prefetch pipeline, averaged per query
   /// (zero with QueryOptions::prefetch_depth = 0).
   double mean_prefetch_hits = 0.0;
-  /// Cross-shard pruning layer, averaged per query (all zero for unrouted
-  /// or single-index runs): shards skipped by the coarse router, watermark
-  /// raises, and coarse-router bound evaluations.
+  /// Cross-shard pruning layer, averaged per query (all zero for
+  /// single-index runs; watermark raises also stay zero under the serial
+  /// lane schedule): shards skipped by the coarse router, watermark raises,
+  /// and coarse-router bound evaluations.
   double mean_shards_pruned = 0.0;
   double mean_threshold_updates = 0.0;
   double mean_router_bound_evals = 0.0;

@@ -224,15 +224,6 @@ Status BufferPool::Pin(PageId id, const uint8_t** out, PinOutcome* outcome,
   return st;
 }
 
-const uint8_t* BufferPool::Pin(PageId id, bool* missed, PoolClient client) {
-  PinOutcome outcome;
-  const uint8_t* out = nullptr;
-  const Status st = Pin(id, &out, &outcome, client);
-  DT_CHECK_MSG(st.ok(), "unrecoverable page load on infallible Pin");
-  if (missed != nullptr) *missed = outcome.missed;
-  return out;
-}
-
 uint8_t* BufferPool::PinMutable(PageId id, PoolClient client) {
   Frame* f = nullptr;
   const Status st = GetFrame(id, /*mutate=*/true, /*outcome=*/nullptr, client,

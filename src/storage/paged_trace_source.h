@@ -20,10 +20,10 @@ namespace dtrace {
 /// (Sec. 7.6's regime) instead of the bench-side access-hook emulation.
 ///
 /// There is no source-wide lock: the pool synchronizes per shard (disk I/O
-/// happens outside shard mutexes), so cursors from concurrent QueryMany /
-/// eval_threads workers miss on different shards in parallel. Each cursor
-/// keeps a small per-query materialization cache of decoded entity records;
-/// cache hits touch no shared state at all. Cache misses read through the
+/// happens outside shard mutexes), so cursors from concurrent QueryMany
+/// workers and sharded lane groups miss on different shards in parallel.
+/// Each cursor keeps a small per-query materialization cache of decoded
+/// entity records; cache hits touch no shared state at all. Cache misses read through the
 /// pool and charge the *per-call* page outcomes to that cursor's
 /// TraceIoStats — accounting stays exact under any concurrency because no
 /// shared counters are diffed. A cursor's Prefetch() starts its pipeline

@@ -79,7 +79,7 @@ class TreePageSource {
   /// reclaiming). Called on the final published snapshot during index
   /// teardown, where a shared disk/pool's owner may legally have been
   /// destroyed first; every OTHER retirement path (repack, repair,
-  /// DisablePagedTree) runs while the backing is alive and reclaims.
+  /// re-enable) runs while the backing is alive and reclaims.
   /// No-op for stores that own their backing.
   virtual void AbandonBacking() const {}
 };

@@ -5,10 +5,12 @@
 // sticky-bad tree pages drive the quarantine/repack path, and the fault
 // counters (io_retries / checksum_failures / faults_injected /
 // pages_quarantined) are exact under a fixed schedule. The differential
-// section runs >= 50 seeded schedules across {trace, tree} x {shared,
-// per-shard pool} x {compressed, uncompressed}: under every schedule every
-// query either bit-matches the no-fault oracle or returns a clean non-ok
-// Status with EMPTY items — never a crash, never a silently wrong ranking.
+// section runs 56 seeded schedules across four cells (trace faults under the
+// serial and the concurrent lane schedule, tree faults on a disk shared
+// with the trace pages and on per-shard disks) x {compressed,
+// uncompressed}: under every schedule every query either bit-matches the
+// no-fault oracle or returns a clean non-ok Status with EMPTY items —
+// never a crash, never a silently wrong ranking.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -284,7 +286,12 @@ TEST(BufferPoolFaultTest, TransientFaultsRetryToCleanBytesDeterministically) {
 constexpr int kTopK = 10;
 constexpr int kQueriesPerSchedule = 3;
 
+// The shared world's indexes keep in-memory trees: paging only turns on, so
+// a test that pages a tree under a fault schedule builds its own index
+// (FreshOracle/FreshSharded — the same build, hence the same answers).
 struct FaultWorld {
+  static constexpr IndexOptions kIndexOptions{.num_functions = 64,
+                                              .seed = 17};
   Dataset dataset;
   std::unique_ptr<DigitalTraceIndex> oracle;
   std::unique_ptr<ShardedIndex> sharded;
@@ -292,11 +299,8 @@ struct FaultWorld {
   std::vector<TopKResult> expected;  // no-fault, in-memory answers
 
   FaultWorld() : dataset(MakeSynDataset(300, /*seed=*/71)) {
-    const IndexOptions iopts{.num_functions = 64, .seed = 17};
-    oracle = std::make_unique<DigitalTraceIndex>(
-        DigitalTraceIndex::Build(dataset.store, iopts));
-    sharded = std::make_unique<ShardedIndex>(ShardedIndex::Build(
-        dataset.store, {.num_shards = 3, .index = iopts}));
+    oracle = FreshOracle();
+    sharded = FreshSharded();
     queries = SampleQueries(*dataset.store, kQueriesPerSchedule, /*seed=*/41);
     PolynomialLevelMeasure measure(dataset.hierarchy->num_levels());
     for (EntityId q : queries) {
@@ -307,7 +311,28 @@ struct FaultWorld {
   PolynomialLevelMeasure measure() const {
     return PolynomialLevelMeasure(dataset.hierarchy->num_levels());
   }
+  std::unique_ptr<DigitalTraceIndex> FreshOracle() const {
+    return std::make_unique<DigitalTraceIndex>(
+        DigitalTraceIndex::Build(dataset.store, kIndexOptions));
+  }
+  std::unique_ptr<ShardedIndex> FreshSharded() const {
+    return std::make_unique<ShardedIndex>(ShardedIndex::Build(
+        dataset.store, {.num_shards = 3, .index = kIndexOptions}));
+  }
 };
+
+// Paged trees on a private disk whose sticky pages are unreadable from
+// birth: every fault is a tree fault, repaired by quarantine and repack.
+PagedTreeOptions StickyTree(uint64_t seed) {
+  FaultInjectionConfig cfg;
+  cfg.seed = seed;
+  cfg.sticky_page_rate = 0.05;
+  PagedTreeOptions topts;
+  topts.backing = PagedTreeOptions::Backing::kSimDisk;
+  topts.disk.pool_fraction = 0.5;
+  topts.disk.faults = cfg;
+  return topts;
+}
 
 FaultWorld& World() {
   static FaultWorld* world = new FaultWorld();
@@ -411,22 +436,14 @@ TEST(FaultCountersTest, MergeShardTopKSumsFaultCountersAcrossShards) {
 
 TEST(FaultQuarantineTest, CorruptTreePagesQuarantineRepackAndRecover) {
   FaultWorld& w = World();
-  const auto enable_faulty_tree = [&](uint64_t seed) {
-    FaultInjectionConfig cfg;
-    cfg.seed = seed;
-    cfg.sticky_page_rate = 0.05;  // some pages unreadable from birth
-    PagedTreeOptions topts;
-    topts.backing = PagedTreeOptions::Backing::kSimDisk;
-    topts.disk.pool_fraction = 0.5;
-    topts.disk.faults = cfg;
-    w.oracle->EnablePagedTree(topts);
-  };
+  // One index, re-enabled onto each seed's fault schedule in turn.
+  const auto index = w.FreshOracle();
   bool saw_quarantine = false;
   bool saw_repair = false;  // Ok answer after a quarantine + repack
   for (uint64_t seed = 100; seed < 140; ++seed) {
-    enable_faulty_tree(seed);
+    index->EnablePagedTree(StickyTree(seed));
     for (size_t i = 0; i < w.queries.size(); ++i) {
-      const TopKResult r = w.oracle->Query(w.queries[i], kTopK, w.measure());
+      const TopKResult r = index->Query(w.queries[i], kTopK, w.measure());
       Tally t;
       CheckResult(w.expected[i], r, &t, "quarantine", seed);
       if (r.stats.pages_quarantined > 0) {
@@ -439,7 +456,6 @@ TEST(FaultQuarantineTest, CorruptTreePagesQuarantineRepackAndRecover) {
         EXPECT_GT(r.stats.pages_quarantined, 0u) << "seed " << seed;
       }
     }
-    w.oracle->DisablePagedTree();
   }
   EXPECT_TRUE(saw_quarantine) << "no schedule ever tripped the quarantine";
   EXPECT_TRUE(saw_repair) << "no quarantined query ever recovered";
@@ -450,9 +466,9 @@ TEST(FaultQuarantineTest, CorruptTreePagesQuarantineRepackAndRecover) {
     SCOPED_TRACE("QueryMany threads=" + std::to_string(threads));
     bool saw_batch_repair = false;
     for (uint64_t seed = 100; seed < 140; ++seed) {
-      enable_faulty_tree(seed);
+      index->EnablePagedTree(StickyTree(seed));
       const std::vector<TopKResult> batch =
-          w.oracle->QueryMany(w.queries, kTopK, w.measure(), {}, threads);
+          index->QueryMany(w.queries, kTopK, w.measure(), {}, threads);
       for (size_t i = 0; i < w.queries.size(); ++i) {
         const TopKResult& r = batch[i];
         Tally t;
@@ -464,10 +480,50 @@ TEST(FaultQuarantineTest, CorruptTreePagesQuarantineRepackAndRecover) {
           EXPECT_GT(r.stats.pages_quarantined, 0u) << "seed " << seed;
         }
       }
-      w.oracle->DisablePagedTree();
     }
     EXPECT_TRUE(saw_batch_repair) << "no quarantined batch query recovered";
   }
+}
+
+TEST(FaultQuarantineTest, EveryQueryFailedOnADamagedSnapshotRetries) {
+  // Queries A and B fail on the same damaged snapshot, and B's repair
+  // retires it first. A must still be told that pages were quarantined, so
+  // its caller re-pins the repaired snapshot and retries — the count is the
+  // snapshot's, not a token the first asker drains.
+  FaultWorld& w = World();
+  const auto index = w.FreshOracle();
+  bool exercised = false;
+  for (uint64_t seed = 100; seed < 140 && !exercised; ++seed) {
+    index->EnablePagedTree(StickyTree(seed));
+    for (size_t i = 0; i < w.queries.size() && !exercised; ++i) {
+      const auto search = [&](const DigitalTraceIndex::ReadPin& pin) {
+        const SearchLane lane{&pin.tree(), {}, pin.version()};
+        return ForestTopKQuery({&lane, 1}, *w.dataset.store, index->hasher(),
+                               w.measure(), w.queries[i], kTopK,
+                               {.trace_as_of = pin.version()});
+      };
+      uint64_t quarantined = 0;
+      {
+        const DigitalTraceIndex::ReadPin a = index->PinForRead();
+        const DigitalTraceIndex::ReadPin b = index->PinForRead();
+        ASSERT_EQ(a.snapshot(), b.snapshot());
+        if (search(a).status.ok() || search(b).status.ok()) continue;
+        exercised = true;
+        EXPECT_GT(index->QuarantineDamagedPages(b), 0u);
+        EXPECT_NE(index->PinForRead().snapshot(), a.snapshot())
+            << "B's repair must retire the damaged snapshot";
+        quarantined = index->QuarantineDamagedPages(a);
+        EXPECT_GT(quarantined, 0u) << "A was not told to retry, seed " << seed;
+      }
+      // A's caller drops its pin, re-pins and retries, as Query does.
+      if (quarantined == 0) continue;
+      TopKResult retry = search(index->PinForRead());
+      retry.stats.pages_quarantined += quarantined;
+      Tally t;
+      CheckResult(w.expected[i], retry, &t, "retry after B's repair", seed);
+    }
+  }
+  EXPECT_TRUE(exercised) << "no schedule failed a search on a damaged tree";
 }
 
 TEST(FaultQuarantineTest, ShardedLanesQuarantineRepackAndRecover) {
@@ -476,30 +532,23 @@ TEST(FaultQuarantineTest, ShardedLanesQuarantineRepackAndRecover) {
   // damaged tree page quarantines it in the owning shard, re-pins every
   // lane and retries — recovering like the single index above.
   FaultWorld& w = World();
-  const int num_shards = w.sharded->num_shards();
+  const auto sharded = w.FreshSharded();
+  const int num_shards = sharded->num_shards();
   for (const int shard_threads : {1, 4}) {
     SCOPED_TRACE("shard_threads=" + std::to_string(shard_threads));
     Tally tally;
     bool saw_repair = false;  // Ok answer after a quarantine + repack
     for (uint64_t seed = 100; seed < 140; ++seed) {
-      FaultInjectionConfig cfg;
-      cfg.seed = seed;
-      cfg.sticky_page_rate = 0.05;
-      PagedTreeOptions topts;
-      topts.backing = PagedTreeOptions::Backing::kSimDisk;
-      topts.disk.pool_fraction = 0.5;
-      topts.disk.faults = cfg;
-      w.sharded->EnablePagedTrees(topts);
+      sharded->EnablePagedTrees(StickyTree(seed));
       for (size_t i = 0; i < w.queries.size(); ++i) {
-        const TopKResult r = w.sharded->Query(w.queries[i], kTopK,
-                                              w.measure(), {}, shard_threads);
+        const TopKResult r = sharded->Query(w.queries[i], kTopK, w.measure(),
+                                            {}, shard_threads);
         CheckResult(w.expected[i], r, &tally, "sharded quarantine", seed);
         // Every query ran on the lanes: one coarse bound per shard.
         EXPECT_EQ(r.stats.router_bound_evals,
                   static_cast<uint64_t>(num_shards));
         if (r.stats.pages_quarantined > 0 && r.status.ok()) saw_repair = true;
       }
-      w.sharded->DisablePagedTrees();
     }
     EXPECT_GT(tally.quarantined, 0u) << "no lane ever quarantined a page";
     EXPECT_TRUE(saw_repair) << "no quarantined sharded query ever recovered";
@@ -507,14 +556,17 @@ TEST(FaultQuarantineTest, ShardedLanesQuarantineRepackAndRecover) {
 }
 
 // ---------------------------------------------------------------------------
-// The differential harness proper: 56 seeded schedules across
-// {trace, tree} x {shared, per-shard} x {compressed, uncompressed}.
+// The differential harness proper: 56 seeded schedules across four cells x
+// {compressed, uncompressed}.
 // ---------------------------------------------------------------------------
 
 constexpr uint64_t kSeedsPerCell = 7;
 
-// Trace-side faults, one source shared by every shard of the fan-out.
-Tally RunTraceShared(FaultWorld& w, bool compress, uint64_t base_seed) {
+// Trace-side faults, one source shared by every lane of the sharded query
+// (QueryOptions::trace_source). With shard_threads > 1 the lane groups'
+// cursors read the faulty pool concurrently.
+Tally RunTraceShared(FaultWorld& w, bool compress, uint64_t base_seed,
+                     int shard_threads) {
   Tally tally;
   for (uint64_t s = 0; s < kSeedsPerCell; ++s) {
     PagedTraceSource::Options o;
@@ -526,39 +578,13 @@ Tally RunTraceShared(FaultWorld& w, bool compress, uint64_t base_seed) {
     qopts.trace_source = &src;
     for (size_t i = 0; i < w.queries.size(); ++i) {
       CheckResult(w.expected[i],
-                  w.sharded->Query(w.queries[i], kTopK, w.measure(), qopts),
+                  w.sharded->Query(w.queries[i], kTopK, w.measure(), qopts,
+                                   shard_threads),
                   &tally, "trace-shared", base_seed + s);
     }
     EXPECT_GT(src.fault_disk()->fault_stats().latency_spikes +
                   src.fault_disk()->fault_stats().faults_injected(),
               0u);
-  }
-  return tally;
-}
-
-// Trace-side faults, a private source (own disk, pool and schedule) per
-// shard.
-Tally RunTracePerShard(FaultWorld& w, bool compress, uint64_t base_seed) {
-  Tally tally;
-  for (uint64_t s = 0; s < kSeedsPerCell; ++s) {
-    PagedTraceSource::Options o;
-    o.pool_fraction = 0.4;
-    o.compress = compress;
-    std::vector<std::unique_ptr<PagedTraceSource>> sources;
-    for (int sh = 0; sh < w.sharded->num_shards(); ++sh) {
-      o.faults = MixedPlan(base_seed + s * 16 + sh);
-      sources.push_back(
-          std::make_unique<PagedTraceSource>(*w.dataset.store, o));
-      w.sharded->AttachShardSource(sh, sources.back().get());
-    }
-    for (size_t i = 0; i < w.queries.size(); ++i) {
-      CheckResult(w.expected[i],
-                  w.sharded->Query(w.queries[i], kTopK, w.measure()), &tally,
-                  "trace-per-shard", base_seed + s);
-    }
-    for (int sh = 0; sh < w.sharded->num_shards(); ++sh) {
-      w.sharded->AttachShardSource(sh, nullptr);
-    }
   }
   return tally;
 }
@@ -576,19 +602,21 @@ Tally RunTreeShared(FaultWorld& w, bool compress, uint64_t base_seed) {
     o.compress = compress;
     o.faults = cfg;
     PagedTraceSource src(*w.dataset.store, o);
+    // Declared after `src`, so the index (and its snapshot on src's disk)
+    // goes first.
+    const auto index = w.FreshOracle();
     PagedTreeOptions topts;
     topts.compress = compress;
     topts.shared_disk = src.disk();
     topts.shared_pool = src.pool();
-    w.oracle->EnablePagedTree(topts);
+    index->EnablePagedTree(topts);
     QueryOptions qopts;
     qopts.trace_source = &src;
     for (size_t i = 0; i < w.queries.size(); ++i) {
       CheckResult(w.expected[i],
-                  w.oracle->Query(w.queries[i], kTopK, w.measure(), qopts),
+                  index->Query(w.queries[i], kTopK, w.measure(), qopts),
                   &tally, "tree-shared", base_seed + s);
     }
-    w.oracle->DisablePagedTree();
   }
   return tally;
 }
@@ -597,6 +625,7 @@ Tally RunTreeShared(FaultWorld& w, bool compress, uint64_t base_seed) {
 // every fault is a tree fault and the quarantine path owns recovery).
 Tally RunTreePerShard(FaultWorld& w, bool compress, uint64_t base_seed) {
   Tally tally;
+  const auto sharded = w.FreshSharded();
   for (uint64_t s = 0; s < kSeedsPerCell; ++s) {
     FaultInjectionConfig cfg = MixedPlan(base_seed + s);
     cfg.sticky_page_rate = 0.02;
@@ -605,31 +634,30 @@ Tally RunTreePerShard(FaultWorld& w, bool compress, uint64_t base_seed) {
     topts.compress = compress;
     topts.disk.pool_fraction = 0.5;
     topts.disk.faults = cfg;
-    w.sharded->EnablePagedTrees(topts);
+    sharded->EnablePagedTrees(topts);
     for (size_t i = 0; i < w.queries.size(); ++i) {
       CheckResult(w.expected[i],
-                  w.sharded->Query(w.queries[i], kTopK, w.measure()), &tally,
+                  sharded->Query(w.queries[i], kTopK, w.measure()), &tally,
                   "tree-per-shard", base_seed + s);
     }
-    w.sharded->DisablePagedTrees();
   }
   return tally;
 }
 
 TEST(FaultDifferentialTest, TraceSharedPool) {
   FaultWorld& w = World();
-  Tally unc = RunTraceShared(w, /*compress=*/false, 1000);
-  Tally com = RunTraceShared(w, /*compress=*/true, 2000);
+  Tally unc = RunTraceShared(w, /*compress=*/false, 1000, /*shard_threads=*/1);
+  Tally com = RunTraceShared(w, /*compress=*/true, 2000, /*shard_threads=*/1);
   // The harness must not be vacuous: most schedules answer (bit-matching
   // the oracle), and the error path is allowed but never mandatory here.
   EXPECT_GT(unc.ok, 0);
   EXPECT_GT(com.ok, 0);
 }
 
-TEST(FaultDifferentialTest, TracePerShardPools) {
+TEST(FaultDifferentialTest, TraceSharedPoolConcurrentLanes) {
   FaultWorld& w = World();
-  Tally unc = RunTracePerShard(w, /*compress=*/false, 3000);
-  Tally com = RunTracePerShard(w, /*compress=*/true, 4000);
+  Tally unc = RunTraceShared(w, /*compress=*/false, 3000, /*shard_threads=*/3);
+  Tally com = RunTraceShared(w, /*compress=*/true, 4000, /*shard_threads=*/3);
   EXPECT_GT(unc.ok, 0);
   EXPECT_GT(com.ok, 0);
 }
@@ -651,12 +679,12 @@ TEST(FaultDifferentialTest, TreePerShardDisks) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency legs: the fault/retry paths under the prefetch pipeline,
-// parallel candidate evaluation, and a multi-threaded QueryMany batch.
+// Concurrency legs: the fault/retry paths under the prefetch pipeline and a
+// multi-threaded QueryMany batch.
 // (Also the TSan targets — labeled "concurrency" in tests/CMakeLists.txt.)
 // ---------------------------------------------------------------------------
 
-TEST(FaultConcurrencyTest, PrefetchAndEvalThreadsHoldTheContract) {
+TEST(FaultConcurrencyTest, PrefetchHoldsTheContract) {
   FaultWorld& w = World();
   for (uint64_t seed = 9000; seed < 9008; ++seed) {
     PagedTraceSource::Options o;
@@ -666,7 +694,6 @@ TEST(FaultConcurrencyTest, PrefetchAndEvalThreadsHoldTheContract) {
     QueryOptions qopts;
     qopts.trace_source = &src;
     qopts.prefetch_depth = 4;
-    qopts.eval_threads = 2;
     Tally tally;
     for (size_t i = 0; i < w.queries.size(); ++i) {
       CheckResult(w.expected[i],

@@ -58,7 +58,9 @@ TEST(PageReclaimTest, DiscardDropsStaleFrameBeforeReuse) {
   Page page{};
   page.data[0] = 0xAB;
   ASSERT_TRUE(disk.Write(p, page).ok());
-  const uint8_t* frame = pool.Pin(p);
+  // The disk injects no faults, so a failed Pin here is a bug.
+  const uint8_t* frame = nullptr;
+  ASSERT_TRUE(pool.Pin(p, &frame).ok());
   EXPECT_EQ(frame[0], 0xAB);
   pool.Unpin(p);
 
@@ -70,7 +72,7 @@ TEST(PageReclaimTest, DiscardDropsStaleFrameBeforeReuse) {
   ASSERT_EQ(q, p);
   page.data[0] = 0xCD;
   ASSERT_TRUE(disk.Write(q, page).ok());
-  frame = pool.Pin(q);
+  ASSERT_TRUE(pool.Pin(q, &frame).ok());  // fault-free disk: must succeed
   EXPECT_EQ(frame[0], 0xCD) << "stale buffer-pool frame served old bytes";
   pool.Unpin(q);
 }

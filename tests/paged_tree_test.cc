@@ -372,9 +372,36 @@ TEST(PagedMinSigTreeTest, MaintenanceDirtiesAndRepacksTheSnapshot) {
   paged.Refresh();
   check("after refresh");
 
-  paged.DisablePagedTree();
-  EXPECT_FALSE(paged.paged_tree_enabled());
-  check("after disable");
+  // Paging only turns on; enabling again with new options repacks onto the
+  // new layout and publishes at an unchanged version, outside
+  // snapshot_publishes, while a pin on the old snapshot keeps answering
+  // until it drains.
+  const uint64_t version = paged.version();
+  const uint64_t publishes = paged.concurrency_stats().snapshot_publishes;
+  {
+    const DigitalTraceIndex::ReadPin old_pin = paged.PinForRead();
+    PagedTreeOptions sim;
+    sim.backing = PagedTreeOptions::Backing::kSimDisk;
+    sim.compress = true;
+    sim.disk.pool_fraction = 0.5;
+    paged.EnablePagedTree(sim);
+    EXPECT_TRUE(paged.paged_tree_enabled());
+    EXPECT_EQ(paged.version(), version);
+    EXPECT_EQ(paged.concurrency_stats().snapshot_publishes, publishes);
+    EXPECT_NE(&paged.paged_tree(), old_pin.snapshot());
+    EXPECT_TRUE(paged.paged_tree().compressed());
+    EXPECT_FALSE(old_pin.snapshot()->compressed());
+    EXPECT_EQ(paged.PinForRead().version(), old_pin.version());
+    const SearchLane old_lane{&old_pin.tree(), {}, old_pin.version()};
+    for (EntityId q : queries) {
+      ExpectIdentical(plain.Query(q, 10, measure),
+                      ForestTopKQuery({&old_lane, 1}, *d.store, paged.hasher(),
+                                      measure, q, 10,
+                                      {.trace_as_of = old_pin.version()}),
+                      "old pin after re-enable");
+    }
+  }
+  check("after re-enable");
 }
 
 TEST(PagedMinSigTreeTest, SharedPoolCarriesTraceAndTreePages) {

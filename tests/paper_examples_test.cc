@@ -166,9 +166,12 @@ TEST_F(PaperExampleFixture, Example521QueryReturnsEa) {
   const std::vector<EntityId> all = {0, 1, 2, 3};
   const MinSigTree tree = MinSigTree::Build(*sigs_, all);
   WeightedDiceMeasure measure({0.1, 0.9});
-  TopKQueryProcessor proc(tree, *store_, *hasher_, measure);
+  const SearchLane lane{&tree};
+  const auto query = [&](EntityId q, int k) {
+    return ForestTopKQuery({&lane, 1}, *store_, *hasher_, measure, q, k);
+  };
 
-  const TopKResult r = proc.Query(/*ec=*/2, /*k=*/1);
+  const TopKResult r = query(/*ec=*/2, /*k=*/1);
   ASSERT_EQ(r.items.size(), 1u);
   EXPECT_EQ(r.items[0].entity, 0u);  // ea
   EXPECT_DOUBLE_EQ(r.items[0].score, 0.1 * 0.25 + 0.9 * 0.25);
@@ -176,8 +179,8 @@ TEST_F(PaperExampleFixture, Example521QueryReturnsEa) {
   // And it agrees with brute force for every query entity and k.
   for (EntityId q = 0; q < 4; ++q) {
     for (int k = 1; k <= 3; ++k) {
-      const TopKResult fast = proc.Query(q, k);
-      const TopKResult slow = proc.BruteForce(q, k);
+      const TopKResult fast = query(q, k);
+      const TopKResult slow = BruteForceTopK(tree, *store_, measure, q, k);
       ASSERT_EQ(fast.items.size(), slow.items.size());
       for (size_t i = 0; i < fast.items.size(); ++i) {
         EXPECT_DOUBLE_EQ(fast.items[i].score, slow.items[i].score);

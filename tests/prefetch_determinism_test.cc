@@ -179,22 +179,19 @@ TEST_F(PrefetchDeterminismTest,
   }
 }
 
-TEST_F(PrefetchDeterminismTest, EvalThreadsComposeWithPrefetch) {
+TEST_F(PrefetchDeterminismTest, PrefetchKeepsQueryAndBruteForceIdentical) {
   PolynomialLevelMeasure measure(dataset_->hierarchy->num_levels());
   const EntityId q = (*queries_)[2];
   const TopKResult reference = index_->Query(q, 10, measure);
-  for (int eval_threads : {1, 2}) {
-    for (int depth : {0, 2}) {
-      PagedTraceSource::Options opts;
-      opts.pool_fraction = 0.3;
-      PagedTraceSource src(*dataset_->store, opts);
-      QueryOptions qopts;
-      qopts.trace_source = &src;
-      qopts.eval_threads = eval_threads;
-      qopts.prefetch_depth = depth;
-      ExpectIdentical(reference, index_->Query(q, 10, measure, qopts));
-      ExpectIdentical(reference, index_->BruteForce(q, 10, measure, qopts));
-    }
+  for (int depth : {0, 2}) {
+    PagedTraceSource::Options opts;
+    opts.pool_fraction = 0.3;
+    PagedTraceSource src(*dataset_->store, opts);
+    QueryOptions qopts;
+    qopts.trace_source = &src;
+    qopts.prefetch_depth = depth;
+    ExpectIdentical(reference, index_->Query(q, 10, measure, qopts));
+    ExpectIdentical(reference, index_->BruteForce(q, 10, measure, qopts));
   }
 }
 

@@ -3,8 +3,8 @@
 // randomized workload — build, Query / QueryMany / windowed queries,
 // InsertBatch, ReplaceEntity + UpdateEntity + RemoveEntity + Refresh — runs
 // against ShardedIndex instances at {1, 2, 4, 7} shards, over both storage
-// backends (in-memory TraceStore and PagedTraceSource, shared or per-shard
-// pools), and under both lane schedules (one frontier over every shard, or
+// backends (in-memory TraceStore and one PagedTraceSource shared by every
+// lane), and under both lane schedules (one frontier over every shard, or
 // concurrent lane groups coupled through a shared watermark) — and
 // every configuration must return results bit-identical to the single-tree
 // DigitalTraceIndex oracle. Approximate queries must keep the (1 + epsilon)
@@ -244,49 +244,40 @@ TEST(ShardedDifferentialTest, OneShardChargesExactlyTheOracleIo) {
   }
 }
 
-TEST(ShardedDifferentialTest, PerShardSourcesMatchSharedAndOracle) {
+TEST(ShardedDifferentialTest, SharedPagedSourceComposesWithPrefetch) {
+  // One paged source — raw or compressed — shared by every lane through
+  // QueryOptions::trace_source, with and without the leaf-prefetch
+  // pipeline, under both lane schedules: with 4 lane groups the groups'
+  // cursors read one pool concurrently, and the compressed leg hands packed
+  // records from the pipeline worker to the consumer. Every configuration
+  // must stay bit-identical to the in-memory oracle.
   World w(400, /*data_seed=*/89, Range(0, 400));
   PolynomialLevelMeasure measure(w.dataset.hierarchy->num_levels());
   const auto queries = SampleQueries(*w.dataset.store, 4, 52);
-
-  ShardedIndex& four = *w.sharded[2];  // 4 shards
-  ASSERT_EQ(four.num_shards(), 4);
-  PagedTraceSource::Options popts;
-  popts.pool_fraction = 0.4;
-  // Each shard owns a private paged source (its own pool and disk).
-  std::vector<std::unique_ptr<PagedTraceSource>> sources;
-  for (int s = 0; s < four.num_shards(); ++s) {
-    sources.push_back(
-        std::make_unique<PagedTraceSource>(*w.dataset.store, popts));
-    four.AttachShardSource(s, sources.back().get());
-  }
-  for (EntityId q : queries) {
-    const TopKResult expected = w.oracle->Query(q, 10, measure);
-    for (int threads : {1, 4}) {
-      const TopKResult actual = four.Query(q, 10, measure, {}, threads);
-      ExpectIdentical(expected, actual, "per-shard sources");
-      EXPECT_GT(actual.stats.io.entities_fetched, 0u);
-    }
-  }
-  for (int s = 0; s < four.num_shards(); ++s) four.AttachShardSource(s, nullptr);
-}
-
-TEST(ShardedDifferentialTest, EvalThreadsAndPrefetchCompose) {
-  World w(400, /*data_seed=*/89, Range(0, 400));
-  PolynomialLevelMeasure measure(w.dataset.hierarchy->num_levels());
-  const auto queries = SampleQueries(*w.dataset.store, 3, 53);
-  PagedTraceSource::Options popts;
-  popts.pool_fraction = 0.4;
-  const PagedTraceSource shared(*w.dataset.store, popts);
-  for (EntityId q : queries) {
-    const TopKResult expected = w.oracle->Query(q, 10, measure);
-    for (size_t si = 0; si < w.sharded.size(); ++si) {
+  for (const bool compress : {false, true}) {
+    PagedTraceSource::Options popts;
+    popts.pool_fraction = 0.4;
+    popts.compress = compress;
+    const PagedTraceSource shared(*w.dataset.store, popts);
+    for (const int depth : {0, 4}) {
       QueryOptions qopts;
       qopts.trace_source = &shared;
-      qopts.eval_threads = 2;
-      qopts.prefetch_depth = 4;
-      const TopKResult actual = w.sharded[si]->Query(q, 10, measure, qopts);
-      ExpectIdentical(expected, actual, "eval+prefetch");
+      qopts.prefetch_depth = depth;
+      for (EntityId q : queries) {
+        const TopKResult expected = w.oracle->Query(q, 10, measure);
+        for (size_t si = 0; si < w.sharded.size(); ++si) {
+          for (const int threads : {1, 4}) {
+            SCOPED_TRACE(testing::Message()
+                         << "compress " << compress << " depth " << depth
+                         << " shards " << kShardCounts[si] << " threads "
+                         << threads);
+            const TopKResult actual =
+                w.sharded[si]->Query(q, 10, measure, qopts, threads);
+            ExpectIdentical(expected, actual, "shared paged source");
+            EXPECT_GT(actual.stats.io.entities_fetched, 0u);
+          }
+        }
+      }
     }
   }
 }
@@ -449,7 +440,6 @@ TEST(ShardedDifferentialTest, PagedOracleKeepsSearchCountersExact) {
                 0u)
           << "paged tree charged no pins?";
     }
-    w.oracle->DisablePagedTree();
   }
 }
 
@@ -494,7 +484,6 @@ TEST(ShardedDifferentialTest, PagedTreeSimDiskIoDeterministicAcrossThreads) {
       EXPECT_EQ(ref_pins, pins)
           << "shards " << kShardCounts[si] << " threads " << num_threads;
     }
-    w.sharded[si]->DisablePagedTrees();
   }
 }
 
@@ -610,38 +599,6 @@ TEST(ShardedDifferentialTest, CompressedTracePagesMatchOracleAcrossThreadCounts)
   }
 }
 
-TEST(ShardedDifferentialTest, CompressedPerShardSourcesAndPrefetchCompose) {
-  // Compressed per-shard pools, with the eval_threads × prefetch pipeline
-  // on top: the packed handoff (worker reads raw records, consumer parses
-  // blob offsets) must stay bit-identical to the oracle.
-  World w(400, /*data_seed=*/89, Range(0, 400));
-  PolynomialLevelMeasure measure(w.dataset.hierarchy->num_levels());
-  const auto queries = SampleQueries(*w.dataset.store, 4, 56);
-  ShardedIndex& four = *w.sharded[2];  // 4 shards
-  ASSERT_EQ(four.num_shards(), 4);
-  PagedTraceSource::Options popts;
-  popts.pool_fraction = 0.4;
-  popts.compress = true;
-  std::vector<std::unique_ptr<PagedTraceSource>> sources;
-  for (int s = 0; s < four.num_shards(); ++s) {
-    sources.push_back(
-        std::make_unique<PagedTraceSource>(*w.dataset.store, popts));
-    four.AttachShardSource(s, sources.back().get());
-  }
-  QueryOptions qopts;
-  qopts.eval_threads = 2;
-  qopts.prefetch_depth = 4;
-  for (EntityId q : queries) {
-    const TopKResult expected = w.oracle->Query(q, 10, measure);
-    for (int threads : {1, 4}) {
-      const TopKResult actual = four.Query(q, 10, measure, qopts, threads);
-      ExpectIdentical(expected, actual, "compressed per-shard sources");
-      EXPECT_GT(actual.stats.io.entities_fetched, 0u);
-    }
-  }
-  for (int s = 0; s < four.num_shards(); ++s) four.AttachShardSource(s, nullptr);
-}
-
 TEST(ShardedDifferentialTest, CompressedPagedTreesKeepSearchCountersExact) {
   // PagedTreeOptions::compress: FoR node pages + delta-packed blobs under
   // the identical search. Results, entities_checked and nodes_visited must
@@ -674,7 +631,6 @@ TEST(ShardedDifferentialTest, CompressedPagedTreesKeepSearchCountersExact) {
       EXPECT_GT(actual.stats.io.tree_pages_read + actual.stats.io.tree_page_hits,
                 0u);
     }
-    w.oracle->DisablePagedTree();
   }
 
   for (auto& sharded : w.sharded) sharded->EnablePagedTrees(mem);

@@ -39,6 +39,18 @@ TEST(SimDiskTest, ChargesModeledLatency) {
   EXPECT_EQ(disk.reads(), 0u);
 }
 
+// Every pool in this file sits on a fault-free SimDisk, so a failed Pin is
+// a bug in the pool, never an outcome under test: MustPin fails the test.
+const uint8_t* MustPin(BufferPool& pool, PageId id,
+                       BufferPool::PinOutcome* outcome = nullptr,
+                       PoolClient client = PoolClient::kTrace) {
+  const uint8_t* out = nullptr;
+  const Status st = pool.Pin(id, &out, outcome, client);
+  EXPECT_TRUE(st.ok()) << "Pin(" << id << ") failed on a fault-free disk: "
+                       << st.message();
+  return out;
+}
+
 class BufferPoolTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -55,10 +67,10 @@ class BufferPoolTest : public ::testing::Test {
 
 TEST_F(BufferPoolTest, HitsAvoidDiskReads) {
   BufferPool pool(&disk_, 4);
-  const uint8_t* p = pool.Pin(3);
+  const uint8_t* p = MustPin(pool, 3);
   EXPECT_EQ(p[0], 4);
   pool.Unpin(3);
-  pool.Pin(3);
+  MustPin(pool, 3);
   pool.Unpin(3);
   EXPECT_EQ(pool.hits(), 1u);
   EXPECT_EQ(pool.misses(), 1u);
@@ -67,29 +79,29 @@ TEST_F(BufferPoolTest, HitsAvoidDiskReads) {
 
 TEST_F(BufferPoolTest, EvictsLeastRecentlyUsed) {
   BufferPool pool(&disk_, 2);
-  pool.Pin(0);
+  MustPin(pool, 0);
   pool.Unpin(0);
-  pool.Pin(1);
+  MustPin(pool, 1);
   pool.Unpin(1);
-  pool.Pin(0);  // touch 0 so 1 is the LRU
+  MustPin(pool, 0);  // touch 0 so 1 is the LRU
   pool.Unpin(0);
-  pool.Pin(2);  // evicts 1
+  MustPin(pool, 2);  // evicts 1
   pool.Unpin(2);
   EXPECT_EQ(pool.evictions(), 1u);
-  pool.Pin(0);  // still resident
+  MustPin(pool, 0);  // still resident
   pool.Unpin(0);
   EXPECT_EQ(pool.hits(), 2u);
-  pool.Pin(1);  // gone: miss
+  MustPin(pool, 1);  // gone: miss
   pool.Unpin(1);
   EXPECT_EQ(pool.misses(), 4u);
 }
 
 TEST_F(BufferPoolTest, PinnedPagesSurviveEvictionPressure) {
   BufferPool pool(&disk_, 2);
-  const uint8_t* a = pool.Pin(0);
-  pool.Pin(1);
+  const uint8_t* a = MustPin(pool, 0);
+  MustPin(pool, 1);
   pool.Unpin(1);
-  pool.Pin(2);  // must evict 1, not pinned 0
+  MustPin(pool, 2);  // must evict 1, not pinned 0
   pool.Unpin(2);
   EXPECT_EQ(a[0], 1);  // still valid
   pool.Unpin(0);
@@ -101,7 +113,7 @@ TEST_F(BufferPoolTest, DirtyPagesWrittenBackOnEviction) {
     uint8_t* p = pool.PinMutable(5);
     p[0] = 0x77;
     pool.Unpin(5);
-    pool.Pin(6);  // evicts dirty page 5
+    MustPin(pool, 6);  // evicts dirty page 5
     pool.Unpin(6);
   }
   Page check;
@@ -122,13 +134,13 @@ TEST_F(BufferPoolTest, FlushAllPersistsDirtyPages) {
 
 TEST_F(BufferPoolTest, StatsSnapshotMatchesAccessorsAndResets) {
   BufferPool pool(&disk_, 2);
-  pool.Pin(0);
+  MustPin(pool, 0);
   pool.Unpin(0);
-  pool.Pin(0);
+  MustPin(pool, 0);
   pool.Unpin(0);
-  pool.Pin(1);
+  MustPin(pool, 1);
   pool.Unpin(1);
-  pool.Pin(2);  // evicts
+  MustPin(pool, 2);  // evicts
   pool.Unpin(2);
   const BufferPool::Stats stats = pool.stats();
   EXPECT_EQ(stats.hits, pool.hits());
@@ -148,13 +160,13 @@ TEST_F(BufferPoolTest, StatsSnapshotMatchesAccessorsAndResets) {
 
 TEST_F(BufferPoolTest, RepinningKeepsSinglePinAccounting) {
   BufferPool pool(&disk_, 2);
-  pool.Pin(0);
-  pool.Pin(0);  // second pin
+  MustPin(pool, 0);
+  MustPin(pool, 0);  // second pin
   pool.Unpin(0);
   // Still pinned once: cannot be evicted.
-  pool.Pin(1);
+  MustPin(pool, 1);
   pool.Unpin(1);
-  pool.Pin(2);
+  MustPin(pool, 2);
   pool.Unpin(2);
   pool.Unpin(0);
   SUCCEED();
@@ -162,12 +174,12 @@ TEST_F(BufferPoolTest, RepinningKeepsSinglePinAccounting) {
 
 TEST_F(BufferPoolTest, PinReportsPerCallOutcome) {
   BufferPool pool(&disk_, 4);
-  bool missed = false;
-  pool.Pin(3, &missed);
-  EXPECT_TRUE(missed);
+  BufferPool::PinOutcome first, second;
+  MustPin(pool, 3, &first);
+  EXPECT_TRUE(first.missed);
   pool.Unpin(3);
-  pool.Pin(3, &missed);
-  EXPECT_FALSE(missed);
+  MustPin(pool, 3, &second);
+  EXPECT_FALSE(second.missed);
   pool.Unpin(3);
 }
 
@@ -176,7 +188,7 @@ TEST_F(BufferPoolTest, ShardingSplitsCapacityButServesEveryPage) {
   EXPECT_EQ(pool.num_shards(), 2u);
   EXPECT_EQ(pool.capacity(), 8u);
   for (PageId id = 0; id < 8; ++id) {
-    const uint8_t* p = pool.Pin(id);
+    const uint8_t* p = MustPin(pool, id);
     EXPECT_EQ(p[0], id + 1);
     pool.Unpin(id);
   }
@@ -200,8 +212,7 @@ TEST_F(BufferPoolTest, StatsAggregateAcrossShardsUnderConcurrentPinners) {
     threads.emplace_back([&pool, t] {
       for (int i = 0; i < kPinsPerThread; ++i) {
         const PageId id = static_cast<PageId>((t * 3 + i * 7) % 8);
-        bool missed = false;
-        pool.Pin(id, &missed);
+        MustPin(pool, id);
         pool.Unpin(id);
       }
     });
@@ -232,7 +243,7 @@ TEST_F(BufferPoolTest, ConcurrentMissesOnDistinctPagesAllLoadCorrectly) {
     threads.emplace_back([&, t] {
       for (int round = 0; round < 200; ++round) {
         const PageId id = static_cast<PageId>((t + round) % 8);
-        const uint8_t* p = pool.Pin(id);
+        const uint8_t* p = MustPin(pool, id);
         if (p[0] != id + 1) wrong.fetch_add(1);
         pool.Unpin(id);
       }
@@ -285,14 +296,14 @@ TEST_F(BufferPoolTest, ShardCrossingPinMutableDuringEvictionPersistsWrites) {
 TEST_F(BufferPoolTest, ClientKindSplitsHitsMissesAndOccupancy) {
   BufferPool pool(&disk_, 4);
   // Trace client (the default tag) loads pages 0 and 1.
-  pool.Pin(0);
+  MustPin(pool, 0);
   pool.Unpin(0);
-  pool.Pin(1, nullptr, PoolClient::kTrace);
+  MustPin(pool, 1, nullptr, PoolClient::kTrace);
   pool.Unpin(1);
   // Tree client loads page 2, then re-hits page 0 (loaded by kTrace).
-  pool.Pin(2, nullptr, PoolClient::kTree);
+  MustPin(pool, 2, nullptr, PoolClient::kTree);
   pool.Unpin(2);
-  pool.Pin(0, nullptr, PoolClient::kTree);
+  MustPin(pool, 0, nullptr, PoolClient::kTree);
   pool.Unpin(0);
   const auto trace = static_cast<size_t>(PoolClient::kTrace);
   const auto tree = static_cast<size_t>(PoolClient::kTree);
@@ -322,9 +333,9 @@ TEST_F(BufferPoolTest, ClientKindSplitsHitsMissesAndOccupancy) {
   // Eviction releases the victim's occupancy slot and charges the new
   // frame to its loader: fill the remaining frame, then overflow with a
   // tree pin — the LRU victim is page 1 (kTrace).
-  pool.Pin(3, nullptr, PoolClient::kTrace);
+  MustPin(pool, 3, nullptr, PoolClient::kTrace);
   pool.Unpin(3);
-  pool.Pin(4, nullptr, PoolClient::kTree);
+  MustPin(pool, 4, nullptr, PoolClient::kTree);
   pool.Unpin(4);
   stats = pool.stats();
   EXPECT_EQ(stats.evictions, 1u);
@@ -345,7 +356,7 @@ TEST_F(BufferPoolDeathTest, UnpinOfNeverPinnedPageAborts) {
 TEST_F(BufferPoolDeathTest, UnpinPastPinCountAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   BufferPool pool(&disk_, 4);
-  pool.Pin(2);
+  MustPin(pool, 2);
   pool.Unpin(2);
   EXPECT_DEATH(pool.Unpin(2), "unpin of unpinned page");
 }
@@ -353,9 +364,9 @@ TEST_F(BufferPoolDeathTest, UnpinPastPinCountAborts) {
 TEST_F(BufferPoolDeathTest, UnpinOfEvictedPageAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   BufferPool pool(&disk_, 1);
-  pool.Pin(0);
+  MustPin(pool, 0);
   pool.Unpin(0);
-  pool.Pin(1);  // evicts 0
+  MustPin(pool, 1);  // evicts 0
   pool.Unpin(1);
   EXPECT_DEATH(pool.Unpin(0), "unpin of non-resident page");
 }
