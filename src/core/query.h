@@ -45,10 +45,14 @@ struct QueryStats {
   uint64_t shards_pruned = 0;
   uint64_t router_bound_evals = 0;
   uint64_t threshold_updates = 0;
-  /// Unrecoverable tree pages the index quarantined and repacked away after
-  /// this query hit them (core/index.cc's repair path; DESIGN-storage.md
-  /// "Fault model and integrity"). Zero on a healthy disk; summed across
-  /// shards by MergeShardTopK like the other counters.
+  /// Damage this query observed before its quarantine retry: the failed
+  /// snapshot's unrecoverable-page observation count
+  /// (PagedMinSigTree::CorruptObserved, core/index.cc's repair path;
+  /// DESIGN-storage.md "Fault model and integrity"). Not a count of
+  /// distinct pages: every query that failed on the same damaged snapshot
+  /// reports that snapshot's running total, so sums over a concurrent batch
+  /// can count the same pages more than once. Zero on a healthy disk;
+  /// summed across shards by MergeShardTopK like the other counters.
   uint64_t pages_quarantined = 0;
   /// Wall time of the call that produced this result. For a parallel shard
   /// fan-out this is the fan-out wall time, NOT the summed per-shard work —

@@ -218,6 +218,7 @@ Status BufferPool::GetFrame(PageId id, bool mutate, PinOutcome* outcome,
 
 Status BufferPool::Pin(PageId id, const uint8_t** out, PinOutcome* outcome,
                        PoolClient client) {
+  if (outcome != nullptr) *outcome = {};
   Frame* f = nullptr;
   const Status st = GetFrame(id, /*mutate=*/false, outcome, client, &f);
   *out = st.ok() ? f->page.data.data() : nullptr;

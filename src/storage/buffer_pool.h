@@ -52,7 +52,8 @@ class BufferPool {
   /// Per-call outcome of one Pin: whether it caused a disk read, and the
   /// fault/retry accounting for that read — per-call reporting, so
   /// concurrent callers account their own I/O exactly without diffing the
-  /// shared counters.
+  /// shared counters. Pin resets it on entry, so one struct can be reused
+  /// across calls.
   struct PinOutcome {
     bool missed = false;
     /// Load/write-back attempts beyond the first (each retry re-reads after

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/index.h"
@@ -34,20 +35,31 @@ namespace {
 constexpr int kShardCounts[] = {1, 2, 4, 7};
 
 struct World {
+  static constexpr IndexOptions kIndexOptions{.num_functions = 96,
+                                              .seed = 17};
   Dataset dataset;
+  std::vector<EntityId> initial;
   std::unique_ptr<DigitalTraceIndex> oracle;
   std::vector<std::unique_ptr<ShardedIndex>> sharded;  // one per kShardCounts
 
   explicit World(uint32_t num_entities, uint64_t data_seed,
-                 std::vector<EntityId> initial)
-      : dataset(MakeSynDataset(num_entities, data_seed)) {
-    const IndexOptions iopts{.num_functions = 96, .seed = 17};
-    oracle = std::make_unique<DigitalTraceIndex>(
-        DigitalTraceIndex::Build(dataset.store, iopts, initial));
+                 std::vector<EntityId> initial_entities)
+      : dataset(MakeSynDataset(num_entities, data_seed)),
+        initial(std::move(initial_entities)) {
+    oracle = FreshOracle();
     for (int shards : kShardCounts) {
       sharded.push_back(std::make_unique<ShardedIndex>(ShardedIndex::Build(
-          dataset.store, {.num_shards = shards, .index = iopts}, initial)));
+          dataset.store, {.num_shards = shards, .index = kIndexOptions},
+          initial)));
     }
+  }
+
+  // A second index built exactly like `oracle` (hence the same answers),
+  // for tests that page one index while `oracle` stays in memory as the
+  // reference.
+  std::unique_ptr<DigitalTraceIndex> FreshOracle() const {
+    return std::make_unique<DigitalTraceIndex>(
+        DigitalTraceIndex::Build(dataset.store, kIndexOptions, initial));
   }
 };
 
@@ -618,11 +630,14 @@ TEST(ShardedDifferentialTest, CompressedPagedTreesKeepSearchCountersExact) {
   PagedTreeOptions sim = mem;
   sim.backing = PagedTreeOptions::Backing::kSimDisk;
   sim.disk.pool_fraction = 0.25;
+  // Page a separate, identically built index: w.oracle stays in memory as
+  // the reference for the sharded grid below.
+  const auto paged = w.FreshOracle();
   for (const PagedTreeOptions& popts : {mem, sim}) {
-    w.oracle->EnablePagedTree(popts);
+    paged->EnablePagedTree(popts);
     for (size_t i = 0; i < plans.size(); ++i) {
       const TopKResult actual =
-          w.oracle->Query(plans[i].q, plans[i].k, measure, plans[i].options);
+          paged->Query(plans[i].q, plans[i].k, measure, plans[i].options);
       ExpectIdentical(expected[i], actual, "compressed paged tree");
       EXPECT_EQ(expected[i].stats.entities_checked,
                 actual.stats.entities_checked);
@@ -633,6 +648,7 @@ TEST(ShardedDifferentialTest, CompressedPagedTreesKeepSearchCountersExact) {
     }
   }
 
+  ASSERT_FALSE(w.oracle->paged_tree_enabled());
   for (auto& sharded : w.sharded) sharded->EnablePagedTrees(mem);
   CheckAgainstOracle(w, MakePlans(w, 6, /*seed=*/313));
 }

@@ -174,12 +174,14 @@ TEST_F(BufferPoolTest, RepinningKeepsSinglePinAccounting) {
 
 TEST_F(BufferPoolTest, PinReportsPerCallOutcome) {
   BufferPool pool(&disk_, 4);
-  BufferPool::PinOutcome first, second;
-  MustPin(pool, 3, &first);
-  EXPECT_TRUE(first.missed);
+  // One struct reused across both calls: each Pin reports only its own
+  // outcome, so the hit must not inherit the first call's miss.
+  BufferPool::PinOutcome outcome;
+  MustPin(pool, 3, &outcome);
+  EXPECT_TRUE(outcome.missed);
   pool.Unpin(3);
-  MustPin(pool, 3, &second);
-  EXPECT_FALSE(second.missed);
+  MustPin(pool, 3, &outcome);
+  EXPECT_FALSE(outcome.missed);
   pool.Unpin(3);
 }
 
