@@ -32,7 +32,7 @@ void HashFamilyAblation() {
     t.AddRow({kind == IndexOptions::Hasher::kHierarchical ? "hierarchical"
                                                           : "exact",
               TablePrinter::Fmt(pe.mean_pe, 4),
-              TablePrinter::Fmt(pe.mean_entities_checked, 1),
+              TablePrinter::Fmt(pe.PerQuery(pe.total.entities_checked), 1),
               TablePrinter::Fmt(index.build_seconds(), 2),
               TablePrinter::Fmt(index.HasherMemoryBytes() / 1048576.0, 2)});
   }
@@ -55,9 +55,10 @@ void NodeStorageAblation() {
     const auto pe = MeasurePe(index, measure, queries, 10);
     t.AddRow({full ? "full signature" : "routing value",
               TablePrinter::Fmt(pe.mean_pe, 4),
-              TablePrinter::Fmt(pe.mean_entities_checked, 1),
+              TablePrinter::Fmt(pe.PerQuery(pe.total.entities_checked), 1),
               TablePrinter::Fmt(index.IndexMemoryBytes() / 1024.0, 1),
-              TablePrinter::Fmt(pe.mean_query_seconds * 1e3, 2)});
+              TablePrinter::Fmt(
+                  pe.PerQuery(pe.total.elapsed_seconds) * 1e3, 2)});
   }
   t.Print();
   std::printf(

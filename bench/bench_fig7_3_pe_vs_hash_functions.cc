@@ -30,7 +30,7 @@ void Run(const NamedDataset& nd) {
                                           predict_queries);
     t.AddRow({std::to_string(nh), TablePrinter::Fmt(pe.mean_pe, 4),
               TablePrinter::Fmt(pred.pe, 4),
-              TablePrinter::Fmt(pe.mean_entities_checked, 1),
+              TablePrinter::Fmt(pe.PerQuery(pe.total.entities_checked), 1),
               TablePrinter::Fmt(index.build_seconds(), 2)});
   }
   t.Print();

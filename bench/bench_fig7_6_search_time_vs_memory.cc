@@ -43,29 +43,18 @@ void Run(const NamedDataset& nd, BenchJson& json) {
       QueryOptions qopts;
       qopts.trace_source = &src;
       Timer timer;
-      double io_seconds = 0.0;
-      uint64_t cell_read = 0, cell_hit = 0;  // this (frac, k) cell only
-      uint64_t cell_prefetch = 0;
-      uint64_t cell_shards_pruned = 0, cell_threshold = 0, cell_bounds = 0;
+      QueryStats cell;  // this (frac, k) cell only
       for (EntityId q : queries) {
-        const TopKResult r = index.Query(q, k, measure, qopts);
-        io_seconds += r.stats.io.modeled_io_seconds;
-        cell_read += r.stats.io.pages_read;
-        cell_hit += r.stats.io.pages_hit;
-        cell_prefetch += r.stats.io.prefetch_hits;
-        cell_shards_pruned += r.stats.shards_pruned;
-        cell_threshold += r.stats.threshold_updates;
-        cell_bounds += r.stats.router_bound_evals;
+        cell.Add(index.Query(q, k, measure, qopts).stats);
       }
+      const uint64_t cell_read = cell.io.pages_read;
+      const uint64_t cell_hit = cell.io.pages_hit;
+      const double io_seconds = cell.io.modeled_io_seconds;
       json.Counter("lock_wait_seconds", src.pool_stats().lock_wait_seconds);
-      json.Counter("prefetch_hits", static_cast<double>(cell_prefetch));
-      json.Counter("pages_read", static_cast<double>(cell_read));
-      // Cross-shard pruning counters: structurally zero on this single-index
-      // bench, emitted so the counters section has one schema across benches
-      // (and so a routed variant of this bench would be comparable).
-      json.Counter("shards_pruned", static_cast<double>(cell_shards_pruned));
-      json.Counter("threshold_updates", static_cast<double>(cell_threshold));
-      json.Counter("router_bound_evals", static_cast<double>(cell_bounds));
+      // Every QueryStats counter. The cross-shard ones are structurally zero
+      // on this single-index bench; they keep one counters schema across
+      // benches.
+      json.Counters(cell);
       pages_read += cell_read;
       pages_hit += cell_hit;
       const double wall = timer.ElapsedSeconds();

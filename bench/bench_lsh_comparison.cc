@@ -36,7 +36,7 @@ void Run(const NamedDataset& nd) {
   {  // exact reference
     const auto pe = MeasurePe(exact, measure, queries, 10);
     t.AddRow({"MinSigTree exact", "1.000",
-              TablePrinter::Fmt(pe.mean_entities_checked, 1),
+              TablePrinter::Fmt(pe.PerQuery(pe.total.entities_checked), 1),
               TablePrinter::Fmt(pe.mean_pe, 4)});
   }
   for (double eps : {0.2, 1.0}) {

@@ -85,9 +85,11 @@ void Run(BenchJson& json) {
     PolynomialLevelMeasure measure(d.hierarchy->num_levels());
     const auto queries = SampleQueries(*d.store, 12, 808);
     const auto pe = MeasurePe(index, measure, queries, 10);
+    const double mean_query_seconds = pe.PerQuery(pe.total.elapsed_seconds);
+    const double mean_checked = pe.PerQuery(pe.total.entities_checked);
     t.AddRow({std::to_string(entities), TablePrinter::Fmt(pe.mean_pe, 4),
-              TablePrinter::Fmt(pe.mean_query_seconds * 1e3, 2),
-              TablePrinter::Fmt(pe.mean_entities_checked, 1),
+              TablePrinter::Fmt(mean_query_seconds * 1e3, 2),
+              TablePrinter::Fmt(mean_checked, 1),
               TablePrinter::Fmt(index.build_seconds(), 2),
               TablePrinter::Fmt(static_cast<uint64_t>(index.tree().num_nodes()))});
     json.AddRow()
@@ -95,8 +97,8 @@ void Run(BenchJson& json) {
         .Int("entities", entities)
         .Num("pe", pe.mean_pe)
         .Num("queries_per_sec",
-             pe.mean_query_seconds > 0 ? 1.0 / pe.mean_query_seconds : 0.0)
-        .Num("mean_entities_checked", pe.mean_entities_checked)
+             mean_query_seconds > 0 ? 1.0 / mean_query_seconds : 0.0)
+        .Num("mean_entities_checked", mean_checked)
         .Int("pages_read", 0)
         .Num("hit_rate", 0.0)
         .Num("index_seconds", index.build_seconds());
@@ -213,9 +215,12 @@ void RunDisk(uint32_t entities, int workers, int prefetch, int shards,
       static_cast<unsigned long long>(cstats.snapshot_publishes),
       cstats.reader_blocked_ns / 1e6, cstats.writer_blocked_ns / 1e6,
       index_seconds, queries.size(), pe.mean_pe,
-      pe.mean_entities_checked, pe.mean_pages_read, pool.hit_rate(),
-      pool.lock_wait_seconds, pe.mean_prefetch_hits, pe.mean_shards_pruned,
-      pe.mean_threshold_updates, queries.size() / wall, pe.mean_io_seconds);
+      pe.PerQuery(pe.total.entities_checked),
+      pe.PerQuery(pe.total.io.pages_read), pool.hit_rate(),
+      pool.lock_wait_seconds, pe.PerQuery(pe.total.io.prefetch_hits),
+      pe.PerQuery(pe.total.shards_pruned),
+      pe.PerQuery(pe.total.threshold_updates), queries.size() / wall,
+      pe.PerQuery(pe.total.io.modeled_io_seconds));
   json.AddRow()
       .Str("mode", "disk")
       .Int("entities", d.num_entities())
@@ -232,20 +237,18 @@ void RunDisk(uint32_t entities, int workers, int prefetch, int shards,
       .Int("writer_threads", static_cast<uint64_t>(writer_threads))
       .Num("pe", pe.mean_pe)
       .Num("queries_per_sec", queries.size() / wall)
-      .Num("mean_entities_checked", pe.mean_entities_checked)
-      .Int("pages_read",
-           static_cast<uint64_t>(pe.mean_pages_read * queries.size()))
+      .Num("mean_entities_checked", pe.PerQuery(pe.total.entities_checked))
+      .Int("pages_read", pe.total.io.pages_read)
       .Num("hit_rate", pool.hit_rate())
       .Num("index_seconds", index_seconds);
+  // Every QueryStats counter, summed over the batch. The fault accounting
+  // among them (io_retries, checksum_failures, faults_injected,
+  // pages_quarantined) is all zero on this healthy disk; a nonzero value in
+  // a supposedly fault-free run shows up in the regression checker's
+  // informational deltas.
+  json.Counters(pe.total);
   json.Counter("lock_wait_seconds", pool.lock_wait_seconds);
-  json.Counter("prefetch_hits", pe.mean_prefetch_hits * queries.size());
-  json.Counter("pages_read", pe.mean_pages_read * queries.size());
   json.Counter("pool_evictions", static_cast<double>(pool.evictions));
-  json.Counter("shards_pruned", pe.mean_shards_pruned * queries.size());
-  json.Counter("threshold_updates",
-               pe.mean_threshold_updates * queries.size());
-  json.Counter("router_bound_evals",
-               pe.mean_router_bound_evals * queries.size());
   // Storage-footprint counters: compressed_bytes is what the pages hold,
   // raw_bytes what the uncompressed writer would have occupied (equal when
   // --compress is off). Informational in check_regression.py.
@@ -254,15 +257,6 @@ void RunDisk(uint32_t entities, int workers, int prefetch, int shards,
   json.Counter("compression_ratio",
                static_cast<double>(src.raw_bytes()) /
                    static_cast<double>(src.data_bytes()));
-  // Fault accounting — all zero on this healthy disk; emitted so the
-  // regression checker's informational deltas cover them and a nonzero
-  // value in a supposedly fault-free run is visible.
-  json.Counter("io_retries", pe.mean_io_retries * queries.size());
-  json.Counter("checksum_failures",
-               pe.mean_checksum_failures * queries.size());
-  json.Counter("faults_injected", pe.mean_faults_injected * queries.size());
-  json.Counter("pages_quarantined",
-               pe.mean_pages_quarantined * queries.size());
   // Reader/writer coordination counters (zero in read-only legs):
   // snapshot_publishes = writer-side repacks that published a fresh paged
   // snapshot; blocked_ns = wall time spent waiting on a shard latch.
@@ -369,7 +363,7 @@ void RunSnapshot(uint32_t entities, int workers, int shards, bool compress,
       entities, shards, compress ? 1 : 0, index_seconds, save_seconds,
       snapshot_bytes / 1048576.0, restart_seconds,
       restart_seconds > 0 ? index_seconds / restart_seconds : 0.0,
-      queries.size(), pe.mean_pe, pe.mean_entities_checked,
+      queries.size(), pe.mean_pe, pe.PerQuery(pe.total.entities_checked),
       queries.size() / wall);
   json.AddRow()
       .Str("mode", "snapshot")
@@ -382,7 +376,7 @@ void RunSnapshot(uint32_t entities, int workers, int shards, bool compress,
       .Int("compressed", compress ? 1 : 0)
       .Num("pe", pe.mean_pe)
       .Num("queries_per_sec", queries.size() / wall)
-      .Num("mean_entities_checked", pe.mean_entities_checked)
+      .Num("mean_entities_checked", pe.PerQuery(pe.total.entities_checked))
       .Num("index_seconds", index_seconds)
       .Num("snapshot_save_seconds", save_seconds)
       .Num("restart_seconds", restart_seconds);
@@ -472,10 +466,10 @@ void RunPagedTree(uint32_t entities, int workers, double pool_fraction,
       paged.ZoneBytes() / 1048576.0, pool_pages,
       static_cast<double>(pool_pages) / static_cast<double>(paged.num_pages()),
       workers, compress ? 1 : 0, index.build_seconds(), queries.size(),
-      pe.mean_pe,
-      pe.mean_entities_checked, pe.mean_tree_pages_read,
-      pe.mean_tree_page_hits, pstats.hit_rate(), queries.size() / wall,
-      pe.mean_io_seconds);
+      pe.mean_pe, pe.PerQuery(pe.total.entities_checked),
+      pe.PerQuery(pe.total.io.tree_pages_read),
+      pe.PerQuery(pe.total.io.tree_page_hits), pstats.hit_rate(),
+      queries.size() / wall, pe.PerQuery(pe.total.io.modeled_io_seconds));
   json.AddRow()
       .Str("mode", "paged-tree")
       .Int("entities", d.num_entities())
@@ -485,13 +479,11 @@ void RunPagedTree(uint32_t entities, int workers, double pool_fraction,
       .Int("compressed", compress ? 1 : 0)
       .Num("pe", pe.mean_pe)
       .Num("queries_per_sec", queries.size() / wall)
-      .Num("mean_entities_checked", pe.mean_entities_checked)
-      .Int("pages_read",
-           static_cast<uint64_t>(pe.mean_tree_pages_read * queries.size()))
+      .Num("mean_entities_checked", pe.PerQuery(pe.total.entities_checked))
+      .Int("pages_read", pe.total.io.tree_pages_read)
       .Num("hit_rate", pstats.hit_rate())
       .Num("index_seconds", index.build_seconds());
-  json.Counter("tree_pages_read", pe.mean_tree_pages_read * queries.size());
-  json.Counter("tree_page_hits", pe.mean_tree_page_hits * queries.size());
+  json.Counters(pe.total);
   json.Counter("pool_evictions", static_cast<double>(pstats.evictions));
   json.Counter("compressed_bytes", static_cast<double>(paged.PackedBytes()));
   json.Counter("raw_bytes", static_cast<double>(paged.RawBytes()));

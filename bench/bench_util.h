@@ -50,8 +50,9 @@ inline void PrintDatasetInfo(const NamedDataset& nd) {
 /// as {"bench": <name>, "rows": [{...}, ...], "counters": {...}} into
 /// BENCH_<name>.json in the working directory, so CI can track the perf
 /// trajectory across PRs without scraping the human-facing tables. The
-/// counters section carries run-wide perf signals (lock_wait_seconds,
-/// prefetch_hits, ...) accumulated across rows via Counter().
+/// counters section carries run-wide perf signals (lock_wait_seconds, every
+/// QueryStats counter, ...) accumulated across rows via Counter() and
+/// Counters().
 class BenchJson {
  public:
   class Row {
@@ -104,6 +105,13 @@ class BenchJson {
       }
     }
     counters_.emplace_back(key, v);
+  }
+
+  /// Accumulates every listed QueryStats counter (QueryStats::ForEachCounter)
+  /// under its field name.
+  void Counters(const QueryStats& stats) {
+    stats.ForEachCounter(
+        [this](const char* name, double v) { Counter(name, v); });
   }
 
   /// Writes BENCH_<bench>.json and prints the path (skips on fopen error,

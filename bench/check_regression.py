@@ -9,10 +9,10 @@ Both files are BENCH_*.json emissions ({"bench": ..., "rows": [...],
 (mode, entities, dataset, k, mem_fraction, workers, prefetch_depth, ...);
 for each matched pair with a positive baseline `queries_per_sec`, the
 current value must be at least (1 - max_drop) * baseline. Exits non-zero
-listing every regressed row, so CI can gate on it. The run-wide counters
-(lock_wait_seconds, prefetch_hits, shards_pruned, ...) are printed as
-informational deltas next to the gate — they explain qps moves but never
-fail the check.
+listing every regressed row, so CI can gate on it. Every run-wide counter
+(lock_wait_seconds, the QueryStats counters, ...) in either file is printed,
+in sorted order, as an informational delta next to the gate — counters
+explain qps moves but never fail the check.
 
 Baseline json files live in bench/baselines/ and are refreshed deliberately
 (copy a trusted run's BENCH_*.json) whenever the expected performance level
@@ -49,46 +49,6 @@ MEASUREMENT_FIELDS = {
     "snapshot_save_seconds",
     "restart_seconds",
 }
-
-# Counters reported as informational deltas next to the qps gate (never
-# gated): run-wide perf signals whose drift explains a qps move — lock
-# contention, prefetch engagement, shards skipped by the coarse router, ...
-INFORMATIONAL_COUNTERS = (
-    "lock_wait_seconds",
-    "prefetch_hits",
-    "pages_read",
-    "tree_pages_read",
-    "tree_page_hits",
-    "pool_evictions",
-    "shards_pruned",
-    "threshold_updates",
-    "router_bound_evals",
-    "compressed_bytes",
-    "raw_bytes",
-    "compression_ratio",
-    # Fault accounting (DESIGN-storage.md "Fault model and integrity"):
-    # always informational, never a gate — fault-injection runs are a
-    # robustness harness, not a perf target.
-    "io_retries",
-    "checksum_failures",
-    "faults_injected",
-    "pages_quarantined",
-    # Reader/writer coordination (DESIGN-sharding.md "Concurrency model"):
-    # churn volume and snapshot/latch accounting for the mixed leg. Always
-    # informational — the qps gate is the perf contract; these explain it.
-    "writer_ops",
-    "snapshot_publishes",
-    "reader_blocked_ns",
-    "writer_blocked_ns",
-    # Crash-safe persistence (DESIGN-storage.md "Snapshot format and
-    # recovery protocol"): save/restart wall times and on-disk footprint of
-    # the snapshot-restart leg. Informational — the gate is the post-load
-    # qps row; these explain a move (e.g. footprint growth slowing load).
-    "snapshot_save_seconds",
-    "restart_seconds",
-    "snapshot_bytes",
-)
-
 
 def row_key(row):
     return tuple(sorted(
@@ -134,10 +94,7 @@ def find_match(base_row, current_rows):
 def print_counter_deltas(current, baseline):
     """Informational: counter movements vs the baseline, printed alongside
     the qps gate instead of silently dropped. Never affects the exit code."""
-    keys = [k for k in INFORMATIONAL_COUNTERS
-            if k in current or k in baseline]
-    keys += sorted(k for k in set(current) | set(baseline)
-                   if k not in INFORMATIONAL_COUNTERS)
+    keys = sorted(set(current) | set(baseline))
     if not keys:
         return
     print("\ncounter deltas vs baseline (informational):")

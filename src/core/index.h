@@ -147,8 +147,9 @@ class DigitalTraceIndex {
   /// behind a TreePageSource — core/paged_min_sig_tree.h): the snapshot is
   /// packed and published immediately and every subsequent
   /// Query/BruteForce/QueryMany pins it instead of latching the heap tree.
-  /// Results are bit-identical; only QueryStats gains tree-page I/O (and
-  /// zone maps may *shrink* traversal counters). The in-memory tree stays
+  /// Results are bit-identical; only QueryStats gains tree-page I/O. A zone
+  /// map reject leaves every search counter as it was, so zone maps cut
+  /// only tree pages read. The in-memory tree stays
   /// authoritative: each maintenance commit packs a fresh snapshot from it
   /// and publishes atomically — readers drain on the old one, never waiting
   /// on the repack. The switch is one-way: calling this again on a paged

@@ -315,8 +315,6 @@ PagedMinSigTree PagedMinSigTree::Pack(const MinSigTree& tree,
     out.zone_code_.reserve(out.num_nodes_);
     out.zone_routing_.reserve(out.num_nodes_);
     out.zone_node_level_.reserve(out.num_nodes_);
-    out.zone_min_.reserve(out.node_pages_);
-    out.zone_level_.reserve(out.node_pages_);
   }
 
   // Pass 2: stream the three regions in node order.
@@ -335,10 +333,6 @@ PagedMinSigTree PagedMinSigTree::Pack(const MinSigTree& tree,
                         {static_cast<uint32_t>(slot),
                          static_cast<uint16_t>(zone_level), zone_min});
     store->WritePage(node_page_idx, node_page);
-    if (zone_maps) {
-      out.zone_min_.push_back(zone_min);
-      out.zone_level_.push_back(zone_level);
-    }
     node_page.data.fill(0);
     ++node_page_idx;
     slot = 0;
@@ -447,8 +441,6 @@ void PagedMinSigTree::PackCompressed(const MinSigTree& tree,
     out.zone_code_.reserve(out.num_nodes_);
     out.zone_routing_.reserve(out.num_nodes_);
     out.zone_node_level_.reserve(out.num_nodes_);
-    out.zone_min_.reserve(out.node_pages_);
-    out.zone_level_.reserve(out.node_pages_);
   }
 
   // Write pass: identical record sequence, now encoding the blobs for real
@@ -458,20 +450,12 @@ void PagedMinSigTree::PackCompressed(const MinSigTree& tree,
   CompressedTreePageBuilder builder;
   Page node_page;
   uint32_t node_page_idx = 0;
-  uint64_t zone_min = ~uint64_t{0};
-  Level zone_level = 0;
   child_bytes = 0;
   entity_bytes = 0;
   std::vector<uint8_t> enc;
   const auto flush_node_page = [&] {
     builder.FlushTo(node_page.data.data());
     store->WritePage(node_page_idx++, node_page);
-    if (zone_maps) {
-      out.zone_min_.push_back(zone_min);
-      out.zone_level_.push_back(zone_level);
-    }
-    zone_min = ~uint64_t{0};
-    zone_level = 0;
   };
   for (size_t i = 0; i < out.num_nodes_; ++i) {
     const MinSigTree::Node& n = tree.node(static_cast<uint32_t>(i));
@@ -493,8 +477,6 @@ void PagedMinSigTree::PackCompressed(const MinSigTree& tree,
       flush_node_page();
       DT_CHECK(builder.TryAdd(rec));
     }
-    zone_min = std::min(zone_min, n.value);
-    zone_level = std::max(zone_level, n.level);
     if (zone_maps) {
       out.zone_code_.push_back(EncodeZoneValue(n.value));
       out.zone_routing_.push_back(static_cast<uint16_t>(n.routing));

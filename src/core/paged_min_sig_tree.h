@@ -124,8 +124,7 @@ class PagedMinSigTree final : public TreeSource {
   /// memory to avoid faults; compare against PackedBytes).
   uint64_t ZoneBytes() const {
     return zone_code_.size() + zone_routing_.size() * sizeof(uint16_t) +
-           zone_node_level_.size() + zone_min_.size() * sizeof(uint64_t) +
-           zone_level_.size();
+           zone_node_level_.size();
   }
   const TreePageSource& page_store() const { return *store_; }
 
@@ -161,14 +160,11 @@ class PagedMinSigTree final : public TreeSource {
   // and routing plus the quantized value floor — the summary Zone() serves
   // without faulting. Per-page aggregates alone cannot reject anything
   // (node values are column minima; one weak slot poisons a 151-node
-  // aggregate — see DESIGN-paged-index.md), so the page-level zone_min_ /
-  // zone_level_ mirrors of the page headers are kept only for tooling and
-  // tests.
+  // aggregate — see DESIGN-paged-index.md), so the page headers' zone
+  // fields stay on the page and have no resident copy.
   std::vector<uint8_t> zone_code_;      // EncodeZoneValue(node value)
   std::vector<uint16_t> zone_routing_;  // node routing index
   std::vector<uint8_t> zone_node_level_;
-  std::vector<uint64_t> zone_min_;  // per node page: min value (header copy)
-  std::vector<Level> zone_level_;   // per node page: max level (header copy)
   std::vector<uint64_t> contains_;  // bitset over entity ids
   // Heap-held so the snapshot stays movable (Pack returns by value);
   // incremented by cursors on any unrecoverable page observation.

@@ -13,6 +13,7 @@
 #include "hash/cell_hasher.h"
 #include "trace/trace_source.h"
 #include "trace/types.h"
+#include "util/counters.h"
 
 namespace dtrace {
 
@@ -40,8 +41,7 @@ struct QueryStats {
   /// certified k-th score, coarse-signature bound evaluations performed (one
   /// per shard per query), and successful raises of the shared k-th-score
   /// watermark by this search (concurrent lane schedule only). All zero for
-  /// single-index queries; MergeShardTopK sums them like the other
-  /// counters.
+  /// single-index queries.
   uint64_t shards_pruned = 0;
   uint64_t router_bound_evals = 0;
   uint64_t threshold_updates = 0;
@@ -51,8 +51,7 @@ struct QueryStats {
   /// DESIGN-storage.md "Fault model and integrity"). Not a count of
   /// distinct pages: every query that failed on the same damaged snapshot
   /// reports that snapshot's running total, so sums over a concurrent batch
-  /// can count the same pages more than once. Zero on a healthy disk;
-  /// summed across shards by MergeShardTopK like the other counters.
+  /// can count the same pages more than once. Zero on a healthy disk.
   uint64_t pages_quarantined = 0;
   /// Wall time of the call that produced this result. For a parallel shard
   /// fan-out this is the fan-out wall time, NOT the summed per-shard work —
@@ -67,8 +66,42 @@ struct QueryStats {
   /// (all-zero for the in-memory store).
   TraceIoStats io;
 
+  /// The one list of this struct's own counters (util/counters.h); `io`
+  /// carries its own list. Add, ForEachCounter, AggregatePe and the bench
+  /// JSON all walk them.
+  template <typename Visit>
+  static constexpr void Fields(Visit&& visit) {
+    visit("nodes_visited", &QueryStats::nodes_visited);
+    visit("entities_checked", &QueryStats::entities_checked);
+    visit("heap_pushes", &QueryStats::heap_pushes);
+    visit("hash_evals", &QueryStats::hash_evals);
+    visit("shards_pruned", &QueryStats::shards_pruned);
+    visit("router_bound_evals", &QueryStats::router_bound_evals);
+    visit("threshold_updates", &QueryStats::threshold_updates);
+    visit("pages_quarantined", &QueryStats::pages_quarantined);
+    visit("elapsed_seconds", &QueryStats::elapsed_seconds);
+    visit("work_seconds", &QueryStats::work_seconds);
+  }
+
+  /// Sums every listed counter, io's included.
+  void Add(const QueryStats& o) {
+    AddFields(*this, o);
+    io.Add(o.io);
+  }
+
+  /// Calls fn(name, value) for every listed counter, then for io's. Names
+  /// are the field names and unique across both lists.
+  template <typename Fn>
+  void ForEachCounter(Fn&& fn) const {
+    ForEachField(*this, fn);
+    ForEachField(io, fn);
+  }
+
   double pruning_effectiveness(size_t num_entities, int k) const;
 };
+static_assert(NumFields<QueryStats>() * 8 + sizeof(TraceIoStats) ==
+                  sizeof(QueryStats),
+              "every QueryStats field needs an entry in Fields()");
 
 struct ScoredEntity {
   EntityId entity;

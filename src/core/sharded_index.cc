@@ -5,8 +5,6 @@
 #include <numeric>
 #include <utility>
 
-#include "storage/external_sort.h"
-#include "storage/sim_disk.h"
 #include "util/check.h"
 #include "util/parallel.h"
 #include "util/timer.h"
@@ -30,17 +28,7 @@ TopKResult MergeShardTopK(std::span<const TopKResult> shard_results, int k) {
   size_t total = 0;
   for (const TopKResult& r : shard_results) {
     total += r.items.size();
-    merged.stats.nodes_visited += r.stats.nodes_visited;
-    merged.stats.entities_checked += r.stats.entities_checked;
-    merged.stats.heap_pushes += r.stats.heap_pushes;
-    merged.stats.hash_evals += r.stats.hash_evals;
-    merged.stats.shards_pruned += r.stats.shards_pruned;
-    merged.stats.router_bound_evals += r.stats.router_bound_evals;
-    merged.stats.threshold_updates += r.stats.threshold_updates;
-    merged.stats.pages_quarantined += r.stats.pages_quarantined;
-    merged.stats.elapsed_seconds += r.stats.elapsed_seconds;
-    merged.stats.work_seconds += r.stats.work_seconds;
-    merged.stats.io.Add(r.stats.io);
+    merged.stats.Add(r.stats);
     // First failing shard wins (shard order is deterministic); a merge over
     // any failed shard is itself failed — its candidate set is incomplete.
     merged.status.Update(r.status);
@@ -84,73 +72,25 @@ ShardedIndex ShardedIndex::Build(std::shared_ptr<TraceStore> store,
   ShardedIndex sharded(store, options);
   sharded.shards_.resize(num_shards);
 
-  if (options.stream_build) {
-    // Streamed construction: sort (shard, position) runs through the
-    // external merge sort, so runs arrive grouped by shard with the input
-    // order preserved inside each shard — the same per-shard sequences the
-    // in-memory partition below produces. Each shard is built the moment
-    // its run completes, so only one shard's id list is ever materialized.
-    struct ShardRun {
-      uint32_t shard;
-      uint32_t pos;  // original position: preserves input order per shard
-      EntityId entity;
-    };
-    struct ShardRunLess {
-      bool operator()(const ShardRun& a, const ShardRun& b) const {
-        if (a.shard != b.shard) return a.shard < b.shard;
-        return a.pos < b.pos;
-      }
-    };
-    std::vector<ShardRun> runs;
-    runs.reserve(ids.size());
-    for (size_t pos = 0; pos < ids.size(); ++pos) {
-      runs.push_back({ShardOfEntity(ids[pos], num_shards),
-                      static_cast<uint32_t>(pos), ids[pos]});
-    }
-    ids.clear();
-    ids.shrink_to_fit();
-    SimDisk sort_disk;
-    ExternalSorter<ShardRun, ShardRunLess> sorter(&sort_disk,
-                                                  options.stream_buffer_pages);
-    std::vector<EntityId> shard_ids;
-    uint32_t next_shard = 0;
-    const auto build_shard = [&](uint32_t s, std::vector<EntityId> members) {
-      sharded.shards_[s] = std::make_unique<DigitalTraceIndex>(
-          DigitalTraceIndex::Build(store, options.index, std::move(members)));
-      sharded.RefreshRouterShard(static_cast<int>(s));
-    };
-    sorter.SortInto(runs, [&](const ShardRun& r) {
-      while (next_shard < r.shard) {
-        build_shard(next_shard++, std::move(shard_ids));
-        shard_ids = {};
-      }
-      shard_ids.push_back(r.entity);
-    });
-    while (next_shard < num_shards) {
-      build_shard(next_shard++, std::move(shard_ids));
-      shard_ids = {};
-    }
-  } else {
-    std::vector<std::vector<EntityId>> parts(num_shards);
-    for (EntityId e : ids) {
-      parts[ShardOfEntity(e, num_shards)].push_back(e);
-    }
-    // Shard-parallel build. When shards build concurrently, each shard's
-    // inner signature loop stays serial (shard-level parallelism replaces
-    // entity-level); the per-shard build is deterministic across thread
-    // counts, so either layout yields the same shards.
-    const int workers = std::min<int>(ResolveThreadCount(options.build_threads),
-                                      options.num_shards);
-    IndexOptions shard_opts = options.index;
-    if (workers > 1) shard_opts.num_threads = 1;
-    ParallelForEach(workers, num_shards, [&](size_t s) {
-      sharded.shards_[s] = std::make_unique<DigitalTraceIndex>(
-          DigitalTraceIndex::Build(store, shard_opts, std::move(parts[s])));
-      // Router slots are per shard, so extracting the coarse level here is
-      // race-free and deterministic.
-      sharded.RefreshRouterShard(static_cast<int>(s));
-    });
+  std::vector<std::vector<EntityId>> parts(num_shards);
+  for (EntityId e : ids) {
+    parts[ShardOfEntity(e, num_shards)].push_back(e);
   }
+  // Shard-parallel build. When shards build concurrently, each shard's
+  // inner signature loop stays serial (shard-level parallelism replaces
+  // entity-level); the per-shard build is deterministic across thread
+  // counts, so either layout yields the same shards.
+  const int workers = std::min<int>(ResolveThreadCount(options.build_threads),
+                                    options.num_shards);
+  IndexOptions shard_opts = options.index;
+  if (workers > 1) shard_opts.num_threads = 1;
+  ParallelForEach(workers, num_shards, [&](size_t s) {
+    sharded.shards_[s] = std::make_unique<DigitalTraceIndex>(
+        DigitalTraceIndex::Build(store, shard_opts, std::move(parts[s])));
+    // Router slots are per shard, so extracting the coarse level here is
+    // race-free and deterministic.
+    sharded.RefreshRouterShard(static_cast<int>(s));
+  });
   sharded.build_seconds_ = timer.ElapsedSeconds();
   return sharded;
 }

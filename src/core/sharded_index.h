@@ -20,9 +20,9 @@ struct LoadedShardedIndex;  // below
 
 /// Stable shard assignment: a splitmix64 finalizer over the 64-bit-widened
 /// entity id, reduced mod `num_shards`. A pure function of (entity id,
-/// num_shards) — independent of thread counts, insertion order, build mode
-/// (streamed or not), and process state — so the shard map never silently
-/// drifts between runs or replicas. shard_map_test pins sample values.
+/// num_shards) — independent of thread counts, insertion order and process
+/// state — so the shard map never silently drifts between runs or
+/// replicas. shard_map_test pins sample values.
 uint32_t ShardOfEntity(EntityId e, uint32_t num_shards);
 
 /// Deterministic top-k merge of per-shard query results: items from every
@@ -31,12 +31,10 @@ uint32_t ShardOfEntity(EntityId e, uint32_t num_shards);
 /// way they would inside one tree — and truncated to k (k = 0 yields an
 /// empty result; k beyond the union keeps everything). Shards partition the
 /// entity space, so ids never collide across inputs and the merge needs no
-/// deduplication. Counter stats (nodes_visited, entities_checked,
-/// heap_pushes, hash_evals, shards_pruned, router_bound_evals,
-/// threshold_updates), work_seconds, and TraceIoStats sum across shards.
-/// elapsed_seconds also sums, but callers measuring the wall time of a
-/// parallel fan-out overwrite it — the summed per-shard work stays
-/// available in work_seconds.
+/// deduplication. Every listed QueryStats counter (QueryStats::Add) sums
+/// across shards, on an errored merge too. elapsed_seconds also sums, but
+/// callers measuring the wall time of a parallel fan-out overwrite it — the
+/// summed per-shard work stays available in work_seconds.
 TopKResult MergeShardTopK(std::span<const TopKResult> shard_results, int k);
 
 /// Construction knobs for a ShardedIndex.
@@ -54,17 +52,6 @@ struct ShardedIndexOptions {
   /// its own workers (shard-level parallelism replaces entity-level); the
   /// resulting shards are identical either way.
   int build_threads = 0;
-  /// Streamed construction: partition entity ids into shard runs through
-  /// the external-merge-sort (storage/external_sort.h) instead of
-  /// materializing every shard's id list at once. The sorter's input is
-  /// one flat (shard, pos, entity) record per id; past that, runs arrive
-  /// in shard order, so at most one shard's id list (plus
-  /// `stream_buffer_pages` pages of sort buffers) is materialized at a
-  /// time and each shard is built as its run completes. Produces
-  /// bit-identical shards to the default path.
-  bool stream_build = false;
-  /// In-memory page budget of the streamed-construction sorter (>= 3).
-  size_t stream_buffer_pages = 64;
 };
 
 /// Scale-out layer over DigitalTraceIndex (ROADMAP: toward the paper's

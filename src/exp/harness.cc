@@ -30,49 +30,10 @@ PeMeasurement AggregatePe(std::span<const TopKResult> results,
   PeMeasurement agg;
   for (const TopKResult& r : results) {
     agg.mean_pe += r.stats.pruning_effectiveness(num_entities, k);
-    agg.mean_entities_checked += static_cast<double>(r.stats.entities_checked);
-    agg.mean_nodes_visited += static_cast<double>(r.stats.nodes_visited);
-    agg.mean_query_seconds += r.stats.elapsed_seconds;
-    agg.mean_pages_read += static_cast<double>(r.stats.io.pages_read);
-    agg.mean_io_seconds += r.stats.io.modeled_io_seconds;
-    agg.mean_tree_pages_read += static_cast<double>(r.stats.io.tree_pages_read);
-    agg.mean_tree_page_hits += static_cast<double>(r.stats.io.tree_page_hits);
-    agg.mean_prefetch_hits += static_cast<double>(r.stats.io.prefetch_hits);
-    agg.mean_shards_pruned += static_cast<double>(r.stats.shards_pruned);
-    agg.mean_threshold_updates +=
-        static_cast<double>(r.stats.threshold_updates);
-    agg.mean_router_bound_evals +=
-        static_cast<double>(r.stats.router_bound_evals);
-    agg.mean_work_seconds += r.stats.work_seconds;
-    agg.mean_io_retries += static_cast<double>(r.stats.io.io_retries);
-    agg.mean_checksum_failures +=
-        static_cast<double>(r.stats.io.checksum_failures);
-    agg.mean_faults_injected +=
-        static_cast<double>(r.stats.io.faults_injected);
-    agg.mean_pages_quarantined +=
-        static_cast<double>(r.stats.pages_quarantined);
+    agg.total.Add(r.stats);
     ++agg.num_queries;
   }
-  if (agg.num_queries > 0) {
-    const auto n = static_cast<double>(agg.num_queries);
-    agg.mean_pe /= n;
-    agg.mean_entities_checked /= n;
-    agg.mean_nodes_visited /= n;
-    agg.mean_query_seconds /= n;
-    agg.mean_pages_read /= n;
-    agg.mean_io_seconds /= n;
-    agg.mean_tree_pages_read /= n;
-    agg.mean_tree_page_hits /= n;
-    agg.mean_prefetch_hits /= n;
-    agg.mean_shards_pruned /= n;
-    agg.mean_threshold_updates /= n;
-    agg.mean_router_bound_evals /= n;
-    agg.mean_work_seconds /= n;
-    agg.mean_io_retries /= n;
-    agg.mean_checksum_failures /= n;
-    agg.mean_faults_injected /= n;
-    agg.mean_pages_quarantined /= n;
-  }
+  agg.mean_pe = agg.PerQuery(agg.mean_pe);
   return agg;
 }
 

@@ -14,40 +14,17 @@ namespace dtrace {
 
 /// Aggregated measurements over a batch of queries.
 struct PeMeasurement {
-  double mean_pe = 0.0;            ///< Definition 5, averaged
-  double mean_entities_checked = 0.0;
-  double mean_nodes_visited = 0.0;
-  double mean_query_seconds = 0.0;
-  /// Storage-path I/O, averaged per query (zero on the in-memory path).
-  double mean_pages_read = 0.0;
-  double mean_io_seconds = 0.0;
-  /// Tree-page traffic of a paged MinSigTree, averaged per query (zero
-  /// when every lane's tree is in-memory).
-  double mean_tree_pages_read = 0.0;
-  double mean_tree_page_hits = 0.0;
-  /// Records served by the leaf-prefetch pipeline, averaged per query
-  /// (zero with QueryOptions::prefetch_depth = 0).
-  double mean_prefetch_hits = 0.0;
-  /// Cross-shard pruning layer, averaged per query (all zero for
-  /// single-index runs; watermark raises also stay zero under the serial
-  /// lane schedule): shards skipped by the coarse router, watermark raises,
-  /// and coarse-router bound evaluations.
-  double mean_shards_pruned = 0.0;
-  double mean_threshold_updates = 0.0;
-  double mean_router_bound_evals = 0.0;
-  /// Summed per-shard search work per query (QueryStats::work_seconds) —
-  /// distinct from mean_query_seconds, which reflects elapsed_seconds and
-  /// may be fan-out wall time.
-  double mean_work_seconds = 0.0;
-  /// Fault accounting, averaged per query (DESIGN-storage.md "Fault model
-  /// and integrity"). All zero on a healthy disk; under an injected fault
-  /// schedule these report the retries/verification failures/faults the
-  /// batch absorbed and the tree pages the quarantine path replaced.
-  double mean_io_retries = 0.0;
-  double mean_checksum_failures = 0.0;
-  double mean_faults_injected = 0.0;
-  double mean_pages_quarantined = 0.0;
+  double mean_pe = 0.0;  ///< Definition 5, averaged
   size_t num_queries = 0;
+  /// Every QueryStats counter summed over the batch (QueryStats::Add).
+  /// `total.elapsed_seconds` sums each result's elapsed time, which may be
+  /// fan-out wall time; `total.work_seconds` sums the per-shard search work.
+  QueryStats total;
+
+  /// A summed counter divided by num_queries (0 for an empty batch).
+  double PerQuery(double summed) const {
+    return num_queries > 0 ? summed / static_cast<double>(num_queries) : 0.0;
+  }
 };
 
 /// Aggregates already-computed top-k results into a PeMeasurement, with PE

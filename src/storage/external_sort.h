@@ -45,23 +45,8 @@ class ExternalSorter {
   std::vector<Record> Sort(const std::vector<Record>& input) {
     FormRuns(input);
     if (runs_.empty()) return {};
-    MergePassesDownTo(1);
+    MergePasses();
     return ReadRun(runs_[0]);
-  }
-
-  /// Streaming sort: like Sort, but the final merge is consumed record by
-  /// record through `consume(const Record&)` instead of being written back
-  /// to disk and materialized, saving one full write+read pass — the sort
-  /// itself holds at most buffer_pages pages of records (the input vector
-  /// is the caller's). Used by the sharded index's streamed construction,
-  /// where each shard's run is built (and released) as it streams past.
-  template <typename Consume>
-  void SortInto(const std::vector<Record>& input, Consume&& consume) {
-    FormRuns(input);
-    if (runs_.empty()) return;
-    // Stop while one final B-1-way merge remains and stream that one.
-    MergePassesDownTo(buffer_pages_ - 1);
-    MergeStream(0, runs_.size(), consume);
   }
 
  private:
@@ -126,10 +111,10 @@ class ExternalSorter {
     buffer->clear();
   }
 
-  // Merge passes (B-1 input runs at a time, 1 output buffer page) until at
-  // most `max_runs` runs remain.
-  void MergePassesDownTo(size_t max_runs) {
-    while (runs_.size() > max_runs) {
+  // Merge passes (B-1 input runs at a time, 1 output buffer page) until one
+  // run remains.
+  void MergePasses() {
+    while (runs_.size() > 1) {
       std::vector<RunMeta> next;
       for (size_t i = 0; i < runs_.size(); i += buffer_pages_ - 1) {
         const size_t hi = std::min(runs_.size(), i + buffer_pages_ - 1);
@@ -139,9 +124,8 @@ class ExternalSorter {
     }
   }
 
-  // K-way heap merge of runs [lo, hi), emitting records in sorted order.
-  template <typename Emit>
-  void MergeStream(size_t lo, size_t hi, Emit&& emit) {
+  // K-way heap merge of runs [lo, hi) into one new run.
+  RunMeta MergeRuns(size_t lo, size_t hi) {
     struct HeapItem {
       Record record;
       size_t reader;
@@ -158,19 +142,6 @@ class ExternalSorter {
       if (readers.back().Next(&r)) heap.push_back({r, readers.size() - 1});
     }
     std::make_heap(heap.begin(), heap.end(), greater);
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), greater);
-      HeapItem item = heap.back();
-      heap.pop_back();
-      emit(item.record);
-      if (readers[item.reader].Next(&item.record)) {
-        heap.push_back(item);
-        std::push_heap(heap.begin(), heap.end(), greater);
-      }
-    }
-  }
-
-  RunMeta MergeRuns(size_t lo, size_t hi) {
     RunMeta out;
     Page page;
     size_t in_page = 0;
@@ -180,12 +151,19 @@ class ExternalSorter {
       out.pages.push_back(id);
       in_page = 0;
     };
-    MergeStream(lo, hi, [&](const Record& r) {
-      std::memcpy(page.data.data() + in_page * sizeof(Record), &r,
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), greater);
+      HeapItem item = heap.back();
+      heap.pop_back();
+      std::memcpy(page.data.data() + in_page * sizeof(Record), &item.record,
                   sizeof(Record));
       ++out.num_records;
       if (++in_page == kPerPage) flush();
-    });
+      if (readers[item.reader].Next(&item.record)) {
+        heap.push_back(item);
+        std::push_heap(heap.begin(), heap.end(), greater);
+      }
+    }
     if (in_page > 0) flush();
     return out;
   }

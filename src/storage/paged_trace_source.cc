@@ -64,8 +64,13 @@ struct CachedEntity {
 /// differ from a synchronous replay.
 class PagedTraceCursor final : public TraceCursor {
  public:
+  /// Materialization cache capacity in entities. Pairwise reads (the
+  /// intersection helpers) need both sides resident at once, so it must be
+  /// at least 2.
+  static constexpr size_t kCacheEntities = 8;
+
   explicit PagedTraceCursor(const PagedTraceSource& src)
-      : src_(&src), slots_(src.cache_entities_) {}
+      : src_(&src), slots_(kCacheEntities) {}
 
   ~PagedTraceCursor() override {
     if (worker_.joinable()) {
@@ -410,8 +415,7 @@ PagedTraceSource::PagedTraceSource(const TraceStore& store,
     : hierarchy_(&store.hierarchy()),
       live_store_(&store),
       num_entities_(store.num_entities()),
-      horizon_(store.horizon()),
-      cache_entities_(std::max<size_t>(2, options.cursor_cache_entities)) {
+      horizon_(store.horizon()) {
   if (options.faults.has_value()) {
     auto faulty = std::make_unique<FaultInjectingDisk>(
         *options.faults, options.read_latency_seconds,
@@ -441,7 +445,7 @@ PagedTraceSource::PagedTraceSource(const TraceStore& store,
         1, static_cast<size_t>(options.pool_fraction *
                                static_cast<double>(raw_pages)));
   }
-  pool_.emplace(disk_.get(), capacity, options.pool_shards,
+  pool_.emplace(disk_.get(), capacity, /*num_shards=*/0,
                 options.verify_checksums);
   // Serialization traffic is construction cost, not query I/O.
   disk_->ResetStats();

@@ -52,9 +52,6 @@ class PagedTraceSource final : public TraceSource {
     /// compressed runs keep the same absolute pool bytes and compression
     /// shows up as hit rate rather than as a proportionally smaller pool.
     double pool_fraction = 0.0;
-    /// Buffer-pool shards (0 = auto = 16; always capped at
-    /// pool capacity / 4 so every shard keeps at least 4 frames).
-    size_t pool_shards = 0;
     /// Serialize compressed (util/codec.h): each level becomes one
     /// delta-packed id-list blob, and cursors keep the packed record
     /// resident — decoding levels lazily into reused buffers, or handing
@@ -62,10 +59,6 @@ class PagedTraceSource final : public TraceSource {
     /// PackedCellsInWindow. Results and every search counter stay
     /// bit-identical to uncompressed; only page counts shrink. Default off.
     bool compress = false;
-    /// Per-cursor materialization cache capacity in entities. Pairwise
-    /// reads (the intersection helpers) need both sides resident at once,
-    /// so values below 2 are raised to 2.
-    size_t cursor_cache_entities = 8;
     /// Modeled per-page latencies charged by the SimDisk (default HDD-class
     /// 4K random access; Fig. 7.6 uses 5 ms seek-dominated values).
     double read_latency_seconds = 100e-6;
@@ -124,7 +117,6 @@ class PagedTraceSource final : public TraceSource {
   uint64_t snapshot_ordinal_;     // store mutation ordinal at serialization
   uint32_t num_entities_;
   TimeStep horizon_;
-  size_t cache_entities_;
   std::unique_ptr<SimDisk> disk_;
   FaultInjectingDisk* fault_disk_ = nullptr;  // disk_.get() or nullptr
   std::unique_ptr<PagedTraceStore> paged_;

@@ -31,14 +31,11 @@ Status InMemoryTreePageStore::Pin(uint32_t index, const uint8_t** out,
 SimDiskTreePageStore::SimDiskTreePageStore(Options options)
     : options_(options) {
   if (options.faults.has_value()) {
-    auto faulty = std::make_unique<FaultInjectingDisk>(
-        *options.faults, options.read_latency_seconds,
-        options.write_latency_seconds);
+    auto faulty = std::make_unique<FaultInjectingDisk>(*options.faults);
     fault_disk_ = faulty.get();
     owned_disk_ = std::move(faulty);
   } else {
-    owned_disk_ = std::make_unique<SimDisk>(options.read_latency_seconds,
-                                            options.write_latency_seconds);
+    owned_disk_ = std::make_unique<SimDisk>();
   }
   disk_ = owned_disk_.get();
 }
@@ -107,7 +104,7 @@ void SimDiskTreePageStore::Finalize() {
                                  static_cast<double>(basis)));
     }
     if (capacity == 0) capacity = std::max<size_t>(1, page_ids_.size());
-    owned_pool_.emplace(disk_, capacity, options_.pool_shards,
+    owned_pool_.emplace(disk_, capacity, /*num_shards=*/0,
                         options_.verify_checksums);
     pool_ = &*owned_pool_;
   }

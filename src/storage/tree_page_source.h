@@ -107,9 +107,10 @@ class InMemoryTreePageStore final : public TreePageSource {
 /// Scaling mode: pages live on a SimDisk and every pin goes through a
 /// sharded BufferPool, tagged PoolClient::kTree. Two configurations:
 ///
-///  - Private (default-constructible Options): the store owns its disk and
-///    pool; Options caps the pool below the packed size to make queries
-///    fault tree pages in and out (the paged-index experiment).
+///  - Private (default-constructible Options): the store owns its disk
+///    (SimDisk's default HDD-class latencies) and its auto-sharded pool;
+///    Options caps the pool below the packed size to make queries fault
+///    tree pages in and out (the paged-index experiment).
 ///  - Shared: constructed over an existing disk + pool (e.g. a
 ///    PagedTraceSource's), so trace records and tree pages compete for the
 ///    same frames; BufferPool::Stats::client_* shows the split.
@@ -122,11 +123,6 @@ class SimDiskTreePageStore final : public TreePageSource {
     /// num_pages()) — resolved at Finalize, so callers need not know the
     /// packed page count up front.
     double pool_fraction = 0.0;
-    /// Pool shards (0 = auto; see BufferPool).
-    size_t pool_shards = 0;
-    /// Modeled per-page latencies of the private SimDisk.
-    double read_latency_seconds = 100e-6;
-    double write_latency_seconds = 100e-6;
     /// When set, the private disk is a FaultInjectingDisk with this plan.
     /// Packing runs disarmed (writes are clean); Finalize arms the disk so
     /// faults hit only the query-time pin path. Ignored in shared mode

@@ -9,6 +9,7 @@
 #include "trace/spatial_hierarchy.h"
 #include "trace/types.h"
 #include "util/codec.h"
+#include "util/counters.h"
 #include "util/status.h"
 
 namespace dtrace {
@@ -40,21 +41,28 @@ struct TraceIoStats {
   uint64_t faults_injected = 0;
   double modeled_io_seconds = 0.0;  ///< SimDisk modeled latency charged
 
-  void Add(const TraceIoStats& o) {
-    entities_fetched += o.entities_fetched;
-    pages_read += o.pages_read;
-    pages_hit += o.pages_hit;
-    bytes_read += o.bytes_read;
-    cache_hits += o.cache_hits;
-    prefetch_hits += o.prefetch_hits;
-    tree_pages_read += o.tree_pages_read;
-    tree_page_hits += o.tree_page_hits;
-    io_retries += o.io_retries;
-    checksum_failures += o.checksum_failures;
-    faults_injected += o.faults_injected;
-    modeled_io_seconds += o.modeled_io_seconds;
+  /// The one list of this struct's counters (util/counters.h): Add and
+  /// QueryStats::ForEachCounter walk it.
+  template <typename Visit>
+  static constexpr void Fields(Visit&& visit) {
+    visit("entities_fetched", &TraceIoStats::entities_fetched);
+    visit("pages_read", &TraceIoStats::pages_read);
+    visit("pages_hit", &TraceIoStats::pages_hit);
+    visit("bytes_read", &TraceIoStats::bytes_read);
+    visit("cache_hits", &TraceIoStats::cache_hits);
+    visit("prefetch_hits", &TraceIoStats::prefetch_hits);
+    visit("tree_pages_read", &TraceIoStats::tree_pages_read);
+    visit("tree_page_hits", &TraceIoStats::tree_page_hits);
+    visit("io_retries", &TraceIoStats::io_retries);
+    visit("checksum_failures", &TraceIoStats::checksum_failures);
+    visit("faults_injected", &TraceIoStats::faults_injected);
+    visit("modeled_io_seconds", &TraceIoStats::modeled_io_seconds);
   }
+
+  void Add(const TraceIoStats& o) { AddFields(*this, o); }
 };
+static_assert(NumFields<TraceIoStats>() * 8 == sizeof(TraceIoStats),
+              "every TraceIoStats field needs an entry in Fields()");
 
 /// Per-query read handle onto a TraceSource. Cursors are cheap to open, are
 /// NOT thread-safe (each worker opens its own), and accumulate the I/O they

@@ -4,8 +4,6 @@
 
 #include <algorithm>
 
-#include "core/sharded_index.h"
-#include "exp/presets.h"
 #include "trace/types.h"
 #include "util/rng.h"
 
@@ -89,68 +87,6 @@ TEST(ExternalSorterTest, IoCountTracksPredictedCost) {
   EXPECT_GE(measured, predicted);
   // Final materialization adds one extra read pass.
   EXPECT_LE(measured, predicted + 2 * n_pages + 8);
-}
-
-TEST(ExternalSorterTest, SortIntoStreamsTheSameSequence) {
-  // The streaming form consumes the final merge record by record instead of
-  // writing it back to disk: same sequence, strictly less I/O (the final
-  // run's write+read pass disappears).
-  Rng rng(4);
-  std::vector<uint64_t> input;
-  for (int i = 0; i < 30000; ++i) input.push_back(rng.Next() % 50000);
-
-  SimDisk sort_disk;
-  ExternalSorter<uint64_t> sorter(&sort_disk, 4);
-  const auto expected = sorter.Sort(input);
-  const uint64_t sort_io = sort_disk.reads() + sort_disk.writes();
-
-  SimDisk stream_disk;
-  ExternalSorter<uint64_t> streamer(&stream_disk, 4);
-  std::vector<uint64_t> streamed;
-  streamed.reserve(input.size());
-  streamer.SortInto(input, [&](const uint64_t& v) { streamed.push_back(v); });
-  EXPECT_EQ(streamed, expected);
-  EXPECT_LT(stream_disk.reads() + stream_disk.writes(), sort_io);
-}
-
-TEST(ExternalSorterTest, SortIntoEmptyInputEmitsNothing) {
-  SimDisk disk;
-  ExternalSorter<uint64_t> sorter(&disk, 3);
-  size_t emitted = 0;
-  sorter.SortInto({}, [&](const uint64_t&) { ++emitted; });
-  EXPECT_EQ(emitted, 0u);
-}
-
-TEST(ExternalSorterTest, StreamedShardConstructionMatchesInMemoryBuild) {
-  // The index-construction path this sorter exists for (Sec. 4.3): shard
-  // runs streamed out of the external sort must yield byte-for-byte the
-  // trees the all-in-memory partition builds, for any run size (sort
-  // buffer budget) — streamed construction is purely an I/O layout choice.
-  const Dataset d = MakeSynDataset(250, /*seed=*/19);
-  const IndexOptions iopts{.num_functions = 64, .seed = 9};
-  const ShardedIndex direct =
-      ShardedIndex::Build(d.store, {.num_shards = 4, .index = iopts});
-  for (size_t buffer_pages : {size_t{3}, size_t{4}, size_t{16}}) {
-    const ShardedIndex streamed = ShardedIndex::Build(
-        d.store, {.num_shards = 4,
-                  .index = iopts,
-                  .stream_build = true,
-                  .stream_buffer_pages = buffer_pages});
-    for (int s = 0; s < 4; ++s) {
-      const MinSigTree& a = direct.shard(s).tree();
-      const MinSigTree& b = streamed.shard(s).tree();
-      ASSERT_EQ(a.num_nodes(), b.num_nodes()) << "pages " << buffer_pages;
-      ASSERT_EQ(a.num_entities(), b.num_entities());
-      for (uint32_t n = 0; n < a.num_nodes(); ++n) {
-        EXPECT_EQ(a.node(n).level, b.node(n).level) << "node " << n;
-        EXPECT_EQ(a.node(n).routing, b.node(n).routing) << "node " << n;
-        EXPECT_EQ(a.node(n).value, b.node(n).value) << "node " << n;
-        EXPECT_EQ(a.node(n).parent, b.node(n).parent) << "node " << n;
-        EXPECT_EQ(a.node(n).children, b.node(n).children) << "node " << n;
-        EXPECT_EQ(a.node(n).entities, b.node(n).entities) << "node " << n;
-      }
-    }
-  }
 }
 
 TEST(ExternalSorterTest, PreservesDuplicates) {

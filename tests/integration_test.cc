@@ -86,8 +86,8 @@ TEST_F(IntegrationTest, MeasurePeReportsSaneNumbers) {
   EXPECT_EQ(pe.num_queries, 8u);
   EXPECT_GE(pe.mean_pe, 0.0);
   EXPECT_LE(pe.mean_pe, 1.0);
-  EXPECT_GT(pe.mean_entities_checked, 0.0);
-  EXPECT_GT(pe.mean_nodes_visited, 0.0);
+  EXPECT_GT(pe.total.entities_checked, 0u);
+  EXPECT_GT(pe.total.nodes_visited, 0u);
 }
 
 TEST_F(IntegrationTest, PagedStoreBacksQueriesWithIoAccounting) {

@@ -62,8 +62,8 @@ TEST(ShardMapTest, DenseIdsSpreadEvenly) {
 
 TEST(ShardMapTest, ShardMembershipIndependentOfBuildConfiguration) {
   // The same population must land in the same shards whether the build is
-  // serial, shard-parallel, or streamed, and regardless of the order the
-  // entity ids were presented in.
+  // serial or shard-parallel, and regardless of the order the entity ids
+  // were presented in.
   const Dataset d = MakeSynDataset(300, /*seed=*/55);
   std::vector<EntityId> forward(d.num_entities());
   std::iota(forward.begin(), forward.end(), 0);
@@ -76,17 +76,13 @@ TEST(ShardMapTest, ShardMembershipIndependentOfBuildConfiguration) {
   serial.build_threads = 1;
   ShardedIndexOptions parallel = base;
   parallel.build_threads = 4;
-  ShardedIndexOptions streamed = base;
-  streamed.stream_build = true;
-  streamed.stream_buffer_pages = 3;
 
   const ShardedIndex a = ShardedIndex::Build(d.store, serial, forward);
   const ShardedIndex b = ShardedIndex::Build(d.store, parallel, forward);
-  const ShardedIndex c = ShardedIndex::Build(d.store, streamed, forward);
   const ShardedIndex s = ShardedIndex::Build(d.store, serial, shuffled);
   for (EntityId e = 0; e < d.num_entities(); ++e) {
     const uint32_t expected = ShardOfEntity(e, 4);
-    for (const ShardedIndex* idx : {&a, &b, &c, &s}) {
+    for (const ShardedIndex* idx : {&a, &b, &s}) {
       for (int sh = 0; sh < idx->num_shards(); ++sh) {
         EXPECT_EQ(idx->shard(sh).tree().Contains(e),
                   sh == static_cast<int>(expected))

@@ -3,6 +3,9 @@
 // shards, k = 0 / k = |E| edge cases, and stats aggregation.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/sharded_index.h"
@@ -97,53 +100,64 @@ TEST(ShardMergeTest, KZeroYieldsEmpty) {
   EXPECT_TRUE(MergeShardTopK(shards, 0).items.empty());
 }
 
-TEST(ShardMergeTest, AggregatesStatsAcrossShards) {
-  TopKResult a = MakeShard({{0, 0.9}});
-  a.stats.nodes_visited = 3;
-  a.stats.entities_checked = 10;
-  a.stats.heap_pushes = 5;
-  a.stats.hash_evals = 100;
-  a.stats.shards_pruned = 1;
-  a.stats.router_bound_evals = 4;
-  a.stats.threshold_updates = 2;
-  a.stats.elapsed_seconds = 0.25;
-  a.stats.work_seconds = 0.2;
-  a.stats.io.pages_read = 7;
-  a.stats.io.pages_hit = 2;
-  a.stats.io.entities_fetched = 10;
-  a.stats.io.bytes_read = 4096;
-  TopKResult b = MakeShard({{1, 0.8}});
-  b.stats.nodes_visited = 4;
-  b.stats.entities_checked = 12;
-  b.stats.heap_pushes = 6;
-  b.stats.hash_evals = 100;
-  b.stats.shards_pruned = 2;
-  b.stats.router_bound_evals = 4;
-  b.stats.threshold_updates = 3;
-  b.stats.elapsed_seconds = 0.5;
-  b.stats.work_seconds = 0.4;
-  b.stats.io.pages_read = 3;
-  b.stats.io.pages_hit = 9;
-  b.stats.io.entities_fetched = 12;
-  b.stats.io.bytes_read = 1024;
+// Sets every listed counter of `stats` (QueryStats::Fields, then
+// TraceIoStats::Fields) to a distinct value: first, first + 1, ...
+void FillCounters(QueryStats& stats, double first) {
+  double v = first;
+  const auto fill = [&v](auto& s) {
+    std::remove_reference_t<decltype(s)>::Fields(
+        [&](const char*, auto field) {
+          s.*field =
+              static_cast<std::remove_reference_t<decltype(s.*field)>>(v++);
+        });
+  };
+  fill(stats);
+  fill(stats.io);
+}
 
-  const std::vector<TopKResult> shards = {a, b};
-  const TopKResult merged = MergeShardTopK(shards, 2);
-  EXPECT_EQ(merged.stats.nodes_visited, 7u);
-  EXPECT_EQ(merged.stats.entities_checked, 22u);
-  EXPECT_EQ(merged.stats.heap_pushes, 11u);
-  EXPECT_EQ(merged.stats.hash_evals, 200u);
-  EXPECT_EQ(merged.stats.shards_pruned, 3u);
-  EXPECT_EQ(merged.stats.router_bound_evals, 8u);
-  EXPECT_EQ(merged.stats.threshold_updates, 5u);
-  EXPECT_DOUBLE_EQ(merged.stats.elapsed_seconds, 0.75);
-  // work_seconds sums independently of elapsed_seconds, so a fan-out caller
-  // overwriting elapsed with wall time no longer loses the summed work.
-  EXPECT_DOUBLE_EQ(merged.stats.work_seconds, 0.6);
-  EXPECT_EQ(merged.stats.io.pages_read, 10u);
-  EXPECT_EQ(merged.stats.io.pages_hit, 11u);
-  EXPECT_EQ(merged.stats.io.entities_fetched, 22u);
-  EXPECT_EQ(merged.stats.io.bytes_read, 5120u);
+std::map<std::string, double> CountersByName(const QueryStats& stats) {
+  std::map<std::string, double> out;
+  stats.ForEachCounter([&out](const char* name, double v) {
+    EXPECT_TRUE(out.emplace(name, v).second) << "duplicate name " << name;
+  });
+  return out;
+}
+
+// Every listed counter of `merged` is the sum of a's and b's, by name.
+void ExpectEveryCounterSums(const QueryStats& a, const QueryStats& b,
+                            const QueryStats& merged) {
+  const auto ca = CountersByName(a);
+  const auto cb = CountersByName(b);
+  const auto cm = CountersByName(merged);
+  ASSERT_EQ(cm.size(), NumFields<QueryStats>() + NumFields<TraceIoStats>());
+  for (const auto& [name, value] : cm) {
+    EXPECT_EQ(value, ca.at(name) + cb.at(name)) << name;
+  }
+}
+
+TEST(ShardMergeTest, SumsEveryListedCounter) {
+  TopKResult a = MakeShard({{0, 0.9}});
+  FillCounters(a.stats, 1);
+  TopKResult b = MakeShard({{1, 0.8}});
+  FillCounters(b.stats, 101);
+  const TopKResult merged = MergeShardTopK(std::vector{a, b}, 2);
+  ASSERT_TRUE(merged.status.ok());
+  ExpectItems(merged, {{0, 0.9}, {1, 0.8}});
+  ExpectEveryCounterSums(a.stats, b.stats, merged.stats);
+}
+
+TEST(ShardMergeTest, ErroredMergeStillSumsEveryListedCounter) {
+  // A failed shard empties the merged items, but the stats still report
+  // the work every shard performed.
+  TopKResult a = MakeShard({{0, 0.9}});
+  FillCounters(a.stats, 1);
+  TopKResult b = MakeShard({});
+  b.status = Status::Corruption("damaged page");
+  FillCounters(b.stats, 101);
+  const TopKResult merged = MergeShardTopK(std::vector{a, b}, 2);
+  EXPECT_FALSE(merged.status.ok());
+  EXPECT_TRUE(merged.items.empty());
+  ExpectEveryCounterSums(a.stats, b.stats, merged.stats);
 }
 
 }  // namespace

@@ -139,36 +139,6 @@ TEST(ShardedDifferentialTest, RandomizedQueriesMatchOracleInMemory) {
   CheckAgainstOracle(w, MakePlans(w, 8, /*seed=*/301));
 }
 
-TEST(ShardedDifferentialTest, StreamedBuildIsBitIdentical) {
-  const Dataset d = MakeSynDataset(400, /*seed=*/83);
-  const IndexOptions iopts{.num_functions = 64, .seed = 11};
-  for (int shards : {2, 4, 7}) {
-    const ShardedIndex direct = ShardedIndex::Build(
-        d.store, {.num_shards = shards, .index = iopts});
-    for (size_t buffer_pages : {size_t{3}, size_t{16}}) {
-      const ShardedIndex streamed = ShardedIndex::Build(
-          d.store, {.num_shards = shards,
-                    .index = iopts,
-                    .stream_build = true,
-                    .stream_buffer_pages = buffer_pages});
-      for (int s = 0; s < shards; ++s) {
-        const MinSigTree& a = direct.shard(s).tree();
-        const MinSigTree& b = streamed.shard(s).tree();
-        ASSERT_EQ(a.num_nodes(), b.num_nodes())
-            << "shard " << s << " pages " << buffer_pages;
-        for (uint32_t n = 0; n < a.num_nodes(); ++n) {
-          EXPECT_EQ(a.node(n).level, b.node(n).level);
-          EXPECT_EQ(a.node(n).routing, b.node(n).routing);
-          EXPECT_EQ(a.node(n).value, b.node(n).value);
-          EXPECT_EQ(a.node(n).parent, b.node(n).parent);
-          EXPECT_EQ(a.node(n).children, b.node(n).children);
-          EXPECT_EQ(a.node(n).entities, b.node(n).entities);
-        }
-      }
-    }
-  }
-}
-
 TEST(ShardedDifferentialTest, PagedBackendMatchesOracleAcrossThreadCounts) {
   World w(500, /*data_seed=*/97, Range(0, 500));
   PolynomialLevelMeasure measure(w.dataset.hierarchy->num_levels());

@@ -161,8 +161,8 @@ TEST_F(TraceSourceTest, HarnessMeasuresStoragePath) {
   const PeMeasurement pe =
       MeasurePe(*index_, measure, queries, 5, via_disk, /*num_threads=*/1);
   EXPECT_EQ(pe.num_queries, queries.size());
-  EXPECT_GT(pe.mean_pages_read, 0.0);
-  EXPECT_GT(pe.mean_io_seconds, 0.0);
+  EXPECT_GT(pe.total.io.pages_read, 0u);
+  EXPECT_GT(pe.total.io.modeled_io_seconds, 0.0);
   EXPECT_TRUE(VerifyExactness(*index_, measure, queries, 5, via_disk));
 }
 
