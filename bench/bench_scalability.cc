@@ -13,9 +13,8 @@
 //       leaf-prefetch lookahead of D records (0 = off). With --shards S > 1
 //       the index is a ShardedIndex: S MinSigTrees over a stable-hash
 //       entity partition, each query one forest walk over per-shard lanes
-//       capped by the coarse router (DESIGN-sharding.md) — bit-identical
-//       answers (tests/sharded_differential_test.cc), measured here for
-//       throughput.
+//       (DESIGN-sharding.md) — bit-identical answers
+//       (tests/sharded_differential_test.cc), measured here for throughput.
 //       --compress stores the trace pages delta-packed (util/codec.h):
 //       fewer pages for the same pool fraction, bit-identical answers,
 //       and compressed_bytes/raw_bytes counters in the JSON emission.
@@ -480,9 +479,10 @@ void RunPagedTree(uint32_t entities, int workers, double pool_fraction,
       .Num("pe", pe.mean_pe)
       .Num("queries_per_sec", queries.size() / wall)
       .Num("mean_entities_checked", pe.PerQuery(pe.total.entities_checked))
-      .Int("pages_read", pe.total.io.tree_pages_read)
       .Num("hit_rate", pstats.hit_rate())
       .Num("index_seconds", index.build_seconds());
+  // Tree pages read are the counters' tree_pages_read; `pages_read` there
+  // means trace pages (0 here), as in every other preset.
   json.Counters(pe.total);
   json.Counter("pool_evictions", static_cast<double>(pstats.evictions));
   json.Counter("compressed_bytes", static_cast<double>(paged.PackedBytes()));

@@ -175,14 +175,6 @@ const PagedMinSigTree& DigitalTraceIndex::paged_tree() const {
   return *cc_->head;
 }
 
-std::vector<uint64_t> DigitalTraceIndex::CoarseSignature(Level level) const {
-  const RWLatch::ReadGuard guard(cc_->latch);
-  std::vector<uint64_t> sig(
-      static_cast<size_t>(hasher_->num_functions()));
-  tree_.CoarseSignature(sigs_, level, sig);
-  return sig;
-}
-
 DigitalTraceIndex::ConcurrencyStats DigitalTraceIndex::concurrency_stats()
     const {
   ConcurrencyStats stats;
@@ -201,7 +193,7 @@ TopKResult DigitalTraceIndex::Query(EntityId q, int k,
     // pin must not leak its new trace into a search walking the old tree.
     QueryOptions pinned = options;
     pinned.trace_as_of = pin.version();
-    const SearchLane lane{&pin.tree(), /*coarse_sig=*/{}, pin.version()};
+    const SearchLane lane{&pin.tree(), pin.version()};
     return ForestTopKQuery({&lane, 1}, PickSource(options, *store_),
                            *hasher_, measure, q, k, pinned);
   };

@@ -267,12 +267,6 @@ class DigitalTraceIndex {
   };
   ConcurrencyStats concurrency_stats() const;
 
-  /// The tree's population-wide level-`level` min-signature (nh values),
-  /// read under the read latch — safe against concurrent maintenance,
-  /// unlike calling tree().CoarseSignature() directly. The router's
-  /// Refresh path (ShardedIndex::RefreshRouterShard) goes through this.
-  std::vector<uint64_t> CoarseSignature(Level level) const;
-
   const MinSigTree& tree() const { return tree_; }
   const CellHasher& hasher() const { return *hasher_; }
   const TraceStore& store() const { return *store_; }

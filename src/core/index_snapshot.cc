@@ -8,7 +8,6 @@
 //   traces[_s]  — per-entity per-level cell lists (raw or codec-packed),
 //                 MVCC overrides resolved at the captured commit
 //   tree[_s]    — MinSigTree node records, verbatim
-//   router      — per-shard coarse signatures (sharded snapshots only)
 //
 // Loading rebuilds every component from these sections alone — hierarchy
 // through its Builder, the store through its RestoredCells constructor, the
@@ -361,38 +360,6 @@ Status DecodeTree(std::span<const uint8_t> payload, const SnapshotConfig& cfg,
   return Status::Ok();
 }
 
-void EncodeRouter(const CoarseShardRouter& router, SnapshotBuffer* out) {
-  const int num_shards = router.num_shards();
-  const int nh = router.num_functions();
-  out->PutU32(static_cast<uint32_t>(num_shards));
-  out->PutU32(static_cast<uint32_t>(nh));
-  for (int s = 0; s < num_shards; ++s) {
-    const std::vector<uint64_t> sig = router.SnapshotSignature(s);
-    out->PutBytes(sig.data(), sig.size() * sizeof(uint64_t));
-  }
-}
-
-Status DecodeRouter(std::span<const uint8_t> payload,
-                    const SnapshotConfig& cfg,
-                    std::vector<std::vector<uint64_t>>* sigs) {
-  SnapshotCursor cur(payload);
-  uint32_t num_shards = 0, nh = 0;
-  if (!cur.GetU32(&num_shards) || !cur.GetU32(&nh) ||
-      num_shards != cfg.num_shards || nh != cfg.num_functions) {
-    return Status::Corruption("snapshot router header mismatch");
-  }
-  sigs->assign(num_shards, std::vector<uint64_t>(nh));
-  for (std::vector<uint64_t>& sig : *sigs) {
-    if (!cur.GetBytes(sig.data(), sig.size() * sizeof(uint64_t))) {
-      return Status::Corruption("snapshot router section truncated");
-    }
-  }
-  if (!cur.AtEnd()) {
-    return Status::Corruption("snapshot router trailing bytes");
-  }
-  return Status::Ok();
-}
-
 // Per-shard section names carry a "_<shard>" suffix in sharded snapshots;
 // a single-index snapshot uses the bare names.
 std::string SectionName(const char* base, uint32_t shard, bool sharded) {
@@ -409,20 +376,18 @@ struct ShardCapture {
 
 // The one snapshot writer behind both facades. Sections: config,
 // hierarchy, then per shard a (traces, tree) pair — suffixed "_<s>" in a
-// sharded snapshot — and, last, the router (sharded snapshots only). A
-// single index is the 1-shard case with unsuffixed names and no router.
-Status WriteSnapshot(SnapshotEnv* env, const IndexOptions& options,
-                     const TraceStore& store,
-                     std::span<const ShardCapture> shards,
-                     const CoarseShardRouter* router, bool compress) {
+// sharded snapshot. A single index is the 1-shard case with unsuffixed
+// names.
+Status WriteSnapshot(SnapshotEnv* env, uint64_t kind,
+                     const IndexOptions& options, const TraceStore& store,
+                     std::span<const ShardCapture> shards, bool compress) {
   if (options.store_full_signatures) {
     return Status::FailedPrecondition(
         "snapshots do not support full-signature mode");
   }
   const auto num_shards = static_cast<uint32_t>(shards.size());
-  const bool sharded = router != nullptr;
-  SnapshotWriter writer(env,
-                        sharded ? kSnapshotKindSharded : kSnapshotKindIndex);
+  const bool sharded = kind == kSnapshotKindSharded;
+  SnapshotWriter writer(env, kind);
   SnapshotBuffer config;
   EncodeConfig(ConfigFor(options, store, num_shards, compress), &config);
   Status s = writer.AddSection("config", config.bytes());
@@ -446,17 +411,6 @@ Status WriteSnapshot(SnapshotEnv* env, const IndexOptions& options,
     s = writer.AddSection(SectionName("tree", shard, sharded), tree.bytes());
     if (!s.ok()) return s;
   }
-  if (sharded) {
-    // The router snapshots LAST: every entity captured in a shard tree
-    // above had its signature absorbed before that shard's commit, so a
-    // read taken after all tree captures covers every captured member.
-    // Slots lowered by in-flight (uncaptured) inserts only loosen restored
-    // bounds — the stale-LOW rule, admissible as always.
-    SnapshotBuffer encoded;
-    EncodeRouter(*router, &encoded);
-    s = writer.AddSection("router", encoded.bytes());
-    if (!s.ok()) return s;
-  }
   return writer.Commit();
 }
 
@@ -465,12 +419,13 @@ struct RestoredShards {
   std::unique_ptr<SpatialHierarchy> hierarchy;
   std::shared_ptr<TraceStore> store;
   IndexOptions options;
-  std::vector<MinSigTree> trees;             // one per shard
-  std::vector<std::vector<uint64_t>> router;  // sharded snapshots only
+  std::vector<MinSigTree> trees;  // one per shard
 };
 
 // The one snapshot reader behind both facades: restores the newest valid
 // snapshot of `kind` (the section layout WriteSnapshot emits for it).
+// Sections are looked up by name, so any other section a manifest lists —
+// the `router` section of snapshots written by older builds — is ignored.
 Status ReadSnapshot(const SnapshotEnv& env, uint64_t kind,
                     RestoredShards* out) {
   const bool sharded = kind == kSnapshotKindSharded;
@@ -528,13 +483,6 @@ Status ReadSnapshot(const SnapshotEnv& env, uint64_t kind,
     if (!s.ok()) return s;
     trees.push_back(std::move(*tree));
   }
-  std::vector<std::vector<uint64_t>> router;
-  if (sharded) {
-    s = ReadSnapshotSection(env, manifest, "router", &payload);
-    if (!s.ok()) return s;
-    s = DecodeRouter(payload, cfg, &router);
-    if (!s.ok()) return s;
-  }
 
   out->store = std::make_shared<TraceStore>(
       *hierarchy, cfg.num_entities, static_cast<TimeStep>(cfg.horizon),
@@ -542,7 +490,6 @@ Status ReadSnapshot(const SnapshotEnv& env, uint64_t kind,
   out->hierarchy = std::move(hierarchy);
   out->options = OptionsFor(cfg);
   out->trees = std::move(trees);
-  out->router = std::move(router);
   return Status::Ok();
 }
 
@@ -550,7 +497,7 @@ Status ReadSnapshot(const SnapshotEnv& env, uint64_t kind,
 
 Status DigitalTraceIndex::SaveSnapshot(SnapshotEnv* env, bool compress) const {
   const ShardCapture self{&cc_->latch, &tree_};
-  return WriteSnapshot(env, options_, *store_, {&self, 1}, /*router=*/nullptr,
+  return WriteSnapshot(env, kSnapshotKindIndex, options_, *store_, {&self, 1},
                        compress);
 }
 
@@ -573,8 +520,8 @@ Status ShardedIndex::SaveSnapshot(SnapshotEnv* env, bool compress) const {
   for (const auto& shard : shards_) {
     shards.push_back({&shard->cc_->latch, &shard->tree_});
   }
-  return WriteSnapshot(env, options_.index, *store_, shards, &router_,
-                       compress);
+  return WriteSnapshot(env, kSnapshotKindSharded, options_.index, *store_,
+                       shards, compress);
 }
 
 Status ShardedIndex::LoadSnapshot(const SnapshotEnv& env,
@@ -593,7 +540,6 @@ Status ShardedIndex::LoadSnapshot(const SnapshotEnv& env,
         restored.store, options.index,
         MakeHasher(*restored.store, options.index),
         std::move(restored.trees[shard]), /*build_seconds=*/0.0));
-    index->router_.SetShardSignature(shard, restored.router[shard]);
   }
   out->hierarchy = std::move(restored.hierarchy);
   out->store = std::move(restored.store);

@@ -384,19 +384,6 @@ void MinSigTree::RefreshValues(const SignatureComputer& sigs) {
   }
 }
 
-void MinSigTree::CoarseSignature(const SignatureComputer& sigs, Level level,
-                                 std::span<uint64_t> out) const {
-  DT_CHECK(static_cast<int>(out.size()) == nh_);
-  DT_CHECK_MSG(level >= 1 && level <= m_, "level out of range");
-  std::fill(out.begin(), out.end(), ~uint64_t{0});
-  std::vector<uint64_t> sig(nh_), scratch(nh_);
-  for (size_t i = 0; i < leaf_of_.size(); ++i) {
-    if (leaf_of_[i] < 0) continue;
-    sigs.ComputeLevel(static_cast<EntityId>(i), level, sig, scratch);
-    for (int u = 0; u < nh_; ++u) out[u] = std::min(out[u], sig[u]);
-  }
-}
-
 namespace {
 
 // TreeSource cursor over the heap nodes: views alias the Node vectors, so

@@ -122,19 +122,6 @@ class MinSigTree : public TreeSource {
   /// already assumes.
   std::unique_ptr<TreeNodeCursor> OpenNodeCursor() const override;
 
-  /// Coarse-level extraction for the cross-shard router
-  /// (core/shard_router.h): min-merges the level-`level` signatures of every
-  /// indexed entity into `out` (nh values; entities leave untouched
-  /// positions at all-max, the empty-population convention). The result is
-  /// a Sec. 4.2.2 group signature with the *whole tree* as the group:
-  /// out[u] <= sig^level_e[u] for every member e, so the Theorem 2 pruning
-  /// test through `out` holds simultaneously for the entire population —
-  /// exactly the invariant a population-wide upper bound needs. Signatures
-  /// are recomputed through `sigs` (the tree stores only routing values),
-  /// and the min-merge is order-independent, hence deterministic.
-  void CoarseSignature(const SignatureComputer& sigs, Level level,
-                       std::span<uint64_t> out) const;
-
   /// Index size as stored (paper Fig. 7.8(b)): per node a routing index and
   /// a value, plus leaf entity lists (and full signatures if enabled).
   uint64_t MemoryBytes() const;

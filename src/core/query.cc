@@ -389,14 +389,10 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
   // Reused across queries on this thread (QueryMany workers each have their
   // own): the table is fully overwritten per query, so only its capacity
   // survives — the ~per-query-MB allocation and first-touch faults do not
-  // repeat. cell_min[l-1][i] = min over u of h_u of the query's i-th
-  // level-l cell, collected while the table is filled; it powers the lane
-  // bounds' quick-accept below.
+  // repeat.
   static thread_local std::vector<std::vector<uint64_t>> hash_table;
-  static thread_local std::vector<std::vector<uint64_t>> cell_min;
   static thread_local std::vector<uint64_t> hash_row;
   hash_table.resize(m);
-  cell_min.resize(m);
   hash_row.resize(nh);
   // Mask geometry: level l's mask is word_count[l-1] words at offset
   // word_prefix[l-1] of every arena slot.
@@ -408,17 +404,12 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
     word_count[l - 1] = (n + 63) / 64;
     word_prefix[l] = word_prefix[l - 1] + word_count[l - 1];
     auto& table = hash_table[l - 1];
-    auto& mins = cell_min[l - 1];
     table.resize(n * static_cast<size_t>(nh));
-    mins.resize(n);
     for (size_t i = 0; i < n; ++i) {
       hasher.HashAll(l, cells[i], hash_row.data());
-      uint64_t mn = ~uint64_t{0};
       for (int u = 0; u < nh; ++u) {
         table[static_cast<size_t>(u) * n + i] = hash_row[u];
-        mn = std::min(mn, hash_row[u]);
       }
-      mins[i] = mn;
     }
     stats.hash_evals += n * static_cast<size_t>(nh);
   }
@@ -452,57 +443,10 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
   static thread_local FrontierHeap frontier;
   frontier.Clear();
   uint32_t order = 0;
-  // Per-lane population-wide root bounds from the coarse signatures (the
-  // shared router's level-1 extraction): a query cell at any level can
-  // belong to some lane member only if every one of its hashes dominates
-  // the lane signature (Theorem 2 with the lane as the group, valid across
-  // levels by the hash family's parent constraint). Evaluated straight off
-  // the transposed hash table — no hashing beyond what the search already
-  // paid.
-  const double root_ub = measure.UpperBound(q_sizes, q_sizes);
-  std::vector<double> lane_bound(lanes.size(), root_ub);
-  {
-    std::vector<uint32_t> remaining(m);
-    for (size_t lane = 0; lane < lanes.size(); ++lane) {
-      const std::span<const uint64_t> sig = lanes[lane].coarse_sig;
-      if (sig.empty()) continue;
-      DT_CHECK(static_cast<int>(sig.size()) == nh);
-      ++stats.router_bound_evals;
-      // Quick accept: a cell whose *smallest* hash clears the lane's
-      // *largest* signature value dominates at every position; only the
-      // rare remainder pays the per-function scan. Lane signatures are
-      // mins over whole shard populations (tiny values), so nearly every
-      // cell takes the one-compare path.
-      uint64_t max_sig = 0;
-      for (int u = 0; u < nh; ++u) max_sig = std::max(max_sig, sig[u]);
-      for (Level l = 1; l <= m; ++l) {
-        const size_t n = q_sizes[l - 1];
-        const uint64_t* table = hash_table[l - 1].data();
-        const uint64_t* mins = cell_min[l - 1].data();
-        uint32_t count = 0;
-        for (size_t i = 0; i < n; ++i) {
-          if (mins[i] >= max_sig) {
-            ++count;
-            continue;
-          }
-          bool alive = true;
-          for (int u = 0; u < nh; ++u) {
-            if (table[static_cast<size_t>(u) * n + i] < sig[u]) {
-              alive = false;
-              break;
-            }
-          }
-          count += alive ? 1 : 0;
-        }
-        remaining[l - 1] = count;
-      }
-      lane_bound[lane] = measure.UpperBound(q_sizes, remaining);
-    }
-  }
-  // Every lane's root enters the one shared frontier, carrying the lane's
-  // cap: a lane whose bound cannot reach the k-th score sinks below the
-  // termination point and is skipped outright. Each root owns a copy of the
+  // Every lane's root enters the one shared frontier at the query's root
+  // bound (every query cell survives), and each owns a copy of the
   // unfiltered root state.
+  const double root_ub = measure.UpperBound(q_sizes, q_sizes);
   for (uint32_t lane = 0; lane < lanes.size(); ++lane) {
     uint32_t remaining = root_remaining;
     if (lane > 0) {
@@ -512,10 +456,12 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
                   arena.masks(remaining));
     }
     frontier.push(
-        {lane_bound[lane], lanes[lane].tree->root(), lane, order++, remaining});
+        {root_ub, lanes[lane].tree->root(), lane, order++, remaining});
     ++stats.heap_pushes;
   }
-  // Lanes whose root gets expanded; the rest were pruned whole.
+  // Lanes whose root gets expanded; the rest were pruned whole. Only
+  // approximation slack can leave a root unexpanded: no exact score exceeds
+  // root_ub, and pruning against the k-th score is strict.
   std::vector<char> lane_expanded(lanes.size(), 0);
 
   // Filters `parent` through `node`'s (routing, value) — or its full group

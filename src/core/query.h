@@ -37,11 +37,12 @@ struct QueryStats {
   // itself is table lookups and charges nothing here.
   uint64_t hash_evals = 0;
   /// Sharded search lanes (core/sharded_index.h): lanes whose root was
-  /// never expanded because their coarse-signature bound could not beat the
-  /// certified k-th score, coarse-signature bound evaluations performed (one
-  /// per shard per query), and successful raises of the shared k-th-score
-  /// watermark by this search (concurrent lane schedule only). All zero for
-  /// single-index queries.
+  /// never expanded (only approximation slack can dominate a lane root),
+  /// and successful raises of the shared k-th-score watermark by this
+  /// search (concurrent lane schedule only). Zero for single-index queries.
+  /// router_bound_evals is always zero: nothing evaluates a per-lane bound
+  /// any more, and the field stays only because perfbench/perfbench.cc
+  /// reads it; the next change to the benchmark deletes it.
   uint64_t shards_pruned = 0;
   uint64_t router_bound_evals = 0;
   uint64_t threshold_updates = 0;
@@ -218,8 +219,8 @@ struct QueryOptions {
   /// synchronous path would, in the same order — only wall time improves.
   /// Ignored by in-memory sources.
   int prefetch_depth = 0;
-  /// Selects nothing: every ShardedIndex query runs the routed forest-walk
-  /// lanes, and no code reads this field. It is declared only because
+  /// Selects nothing: every ShardedIndex query runs the forest-walk lanes,
+  /// and no code reads this field. It is declared only because
   /// perfbench/perfbench.cc still assigns it; the next change to the
   /// benchmark deletes both.
   bool cross_shard_routing = false;
@@ -232,14 +233,9 @@ struct QueryOptions {
 
 /// One lane of a forest search (one shard of a ShardedIndex query): a tree
 /// (an in-memory MinSigTree or its paged snapshot — any TreeSource) over a
-/// slice of the entity population, and the lane's population-wide coarse
-/// signature (the shared router's level-1 min-signature over every member;
-/// empty = uncapped). The search derives each lane's admissible root bound
-/// from the coarse signature using its own transposed hash table, so the
-/// router costs no extra hashing per query.
+/// slice of the entity population.
 struct SearchLane {
   const TreeSource* tree = nullptr;
-  std::span<const uint64_t> coarse_sig = {};
   /// Commit version this lane's candidate traces are read as of (the
   /// version of the lane's read pin, matching the pinned tree above).
   /// Ignored by unversioned sources. Default: latest.
@@ -248,16 +244,13 @@ struct SearchLane {
 
 /// Exact top-k over a *forest* of MinSigTrees that partition the entity
 /// population, searched as ONE best-first expansion: a single frontier
-/// holds every lane's nodes (each lane's root enters with its bound capped
-/// by the coarse-signature bound, so weakly-bounded lanes sink and are
-/// skipped outright when early termination fires first), and a single
-/// global heap supplies the k-th score every pruning decision compares
-/// against. A multi-lane
-/// search therefore prunes exactly like the one big tree the lanes were
-/// split from — the recovery of the sharded pruning loss
-/// (DESIGN-sharding.md) — and per-query state (the transposed hash table,
-/// the intersection kernel, Remaining masks) is built once, not once per
-/// lane.
+/// holds every lane's nodes (each lane's root enters at the query's root
+/// bound), and a single global heap supplies the k-th score every pruning
+/// decision compares against. Late lanes therefore never re-check
+/// candidates the global k-th already beats — the recovery of the sharded
+/// pruning loss (DESIGN-sharding.md) — and per-query state (the transposed
+/// hash table, the intersection kernel, Remaining masks) is built once, not
+/// once per lane.
 ///
 /// Algorithm 2 is the one-lane case: best-first expansion, per-node upper
 /// bounds from partial pruned sets, and early termination (DESIGN.md
@@ -276,7 +269,8 @@ struct SearchLane {
 /// approximation slack the approximation_epsilon guarantee holds, also
 /// under a shared_threshold: every watermark offer is certified, so it
 /// never exceeds the final merged k-th score.
-/// QueryStats::shards_pruned counts lanes whose root was never expanded.
+/// QueryStats::shards_pruned counts lanes whose root was never expanded
+/// (possible only with approximation slack).
 TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
                            const TraceSource& source,
                            const CellHasher& hasher,

@@ -87,9 +87,6 @@ ShardedIndex ShardedIndex::Build(std::shared_ptr<TraceStore> store,
   ParallelForEach(workers, num_shards, [&](size_t s) {
     sharded.shards_[s] = std::make_unique<DigitalTraceIndex>(
         DigitalTraceIndex::Build(store, shard_opts, std::move(parts[s])));
-    // Router slots are per shard, so extracting the coarse level here is
-    // race-free and deterministic.
-    sharded.RefreshRouterShard(static_cast<int>(s));
   });
   sharded.build_seconds_ = timer.ElapsedSeconds();
   return sharded;
@@ -102,52 +99,30 @@ TopKResult ShardedIndex::SearchLanes(EntityId q, int k,
   const size_t num_shards = shards_.size();
   const TraceSource& source = DigitalTraceIndex::PickSource(options, *store_);
 
-  // One lane per shard: a ReadPin + a SnapshotSignature copy captured with
-  // a version handshake — version -> signature -> pin, accepted only when
-  // the pin still carries the pre-signature version. That pairing is what
-  // keeps the coarse bound admissible for the pinned tree: every entity the
-  // pin contains committed before the signature read (and its Absorb ran
-  // even earlier), and any Refresh raise the signature reflects refers to a
-  // tree state the pin includes. If a writer commits inside the handshake
-  // we retry, and after a few spins fall back to an all-zero signature (no
-  // pruning for that lane — always admissible) rather than spin against a
-  // hot writer. Both schedules below search these same lanes.
+  // One lane per shard, each reading through its own pin. The lane reads
+  // candidate traces as of that pin's version, so a ReplaceEntity
+  // committing into one shard mid-search cannot leak its new trace into a
+  // lane pinned before it. Both schedules below search these same lanes.
   std::vector<DigitalTraceIndex::ReadPin> pins;
   pins.reserve(num_shards);
-  std::vector<std::vector<uint64_t>> coarse(num_shards);
-  std::vector<SearchLane> lanes(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    const int sid = static_cast<int>(s);
-    bool stable = false;
-    for (int attempt = 0; attempt < 4 && !stable; ++attempt) {
-      // Drop the unstable pin before re-pinning: a second read acquisition
-      // of an in-memory shard's latch would queue behind a waiting writer,
-      // which in turn waits for the first one — a deadlock.
-      if (s < pins.size()) pins.pop_back();
-      const uint64_t v = shards_[s]->version();
-      coarse[s] = router_.SnapshotSignature(sid);
-      pins.push_back(shards_[s]->PinForRead());
-      stable = pins[s].version() == v;
-    }
-    if (!stable) std::fill(coarse[s].begin(), coarse[s].end(), 0);
-    // The lane reads candidate traces as of its own pin's version, so a
-    // ReplaceEntity committing into one shard mid-search cannot leak its
-    // new trace into a lane pinned before it.
-    lanes[s] = {&pins[s].tree(), coarse[s], pins[s].version()};
+  std::vector<SearchLane> lanes;
+  lanes.reserve(num_shards);
+  for (const auto& shard : shards_) {
+    pins.push_back(shard->PinForRead());
+    lanes.push_back({&pins.back().tree(), pins.back().version()});
   }
 
   // The lanes split into `workers` contiguous groups, and each worker
   // searches its group as ONE best-first expansion (core/query.h
-  // ForestTopKQuery): a single frontier over the group's lanes, each root
-  // capped by its coarse-signature bound, one heap. With one worker that is
-  // the whole forest — it prunes exactly like the big single tree (late
-  // lanes never re-check candidates the global k-th already beats), builds
-  // the per-query filtering state once, and keeps result AND counter/io
-  // accounting fully deterministic. With more, the groups overlap in wall
-  // time and couple through a shared watermark: a lane whose capped root
-  // the watermark already beats stops at its first pop (shards_pruned), and
-  // as groups complete, their items accumulate into a running merged top-k
-  // whose k-th entry certifies the strongest watermark available.
+  // ForestTopKQuery): a single frontier over the group's lanes, one heap.
+  // With one worker that is the whole forest — late lanes never re-check
+  // candidates the global k-th already beats, the per-query filtering state
+  // is built once, and result AND counter/io accounting stay fully
+  // deterministic. With more, the groups overlap in wall time and couple
+  // through a shared watermark that tightens every group's termination and
+  // child-push guard, and as groups complete, their items accumulate into a
+  // running merged top-k whose k-th entry certifies the strongest watermark
+  // available.
   CrossShardThreshold threshold;
   QueryOptions group_options = options;
   if (workers > 1) group_options.shared_threshold = &threshold;
@@ -228,28 +203,8 @@ std::vector<TopKResult> ShardedIndex::QueryMany(
   return results;
 }
 
-void ShardedIndex::RefreshRouterShard(int s) {
-  // Latched read: another writer may be committing into this shard's tree
-  // while we extract the coarse level (concurrent writers serialize on the
-  // shard's write latch, but this READ would otherwise race them).
-  router_.SetShardSignature(s, shards_[s]->CoarseSignature(/*level=*/1));
-}
-
-void ShardedIndex::AbsorbIntoRouter(int s, EntityId e) {
-  const SignatureComputer sigs(*store_, shards_[s]->hasher());
-  std::vector<uint64_t> sig(router_.num_functions());
-  std::vector<uint64_t> scratch(router_.num_functions());
-  sigs.ComputeLevel(e, /*level=*/1, sig, scratch);
-  router_.Absorb(s, sig);
-}
-
 void ShardedIndex::InsertEntity(EntityId e) {
-  const int s = ShardOf(e);
-  // Absorb BEFORE the tree commit: once a concurrent reader can see `e` in
-  // the shard tree, the router slot already covers it. The window where the
-  // slot is low but the entity not yet committed only loosens bounds.
-  AbsorbIntoRouter(s, e);
-  shards_[s]->InsertEntity(e);
+  shards_[ShardOf(e)]->InsertEntity(e);
 }
 
 void ShardedIndex::InsertEntities(std::span<const EntityId> entities) {
@@ -257,62 +212,26 @@ void ShardedIndex::InsertEntities(std::span<const EntityId> entities) {
   for (EntityId e : entities) {
     parts[ShardOf(e)].push_back(e);
   }
-  // Same absorb-before-commit rule as InsertEntity, for the whole batch.
-  for (EntityId e : entities) AbsorbIntoRouter(ShardOf(e), e);
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (!parts[s].empty()) shards_[s]->InsertEntities(parts[s]);
   }
 }
 
 void ShardedIndex::UpdateEntity(EntityId e) {
-  const int s = ShardOf(e);
-  // Min-merge the new trace's coarse signature in BEFORE the tree commit
-  // (absorb-before-commit, as in InsertEntity); the old trace's
-  // contribution may linger stale-low until Refresh — loose but admissible,
-  // the same convention the shard trees follow.
-  AbsorbIntoRouter(s, e);
-  shards_[s]->UpdateEntity(e);
+  shards_[ShardOf(e)]->UpdateEntity(e);
 }
 
 void ShardedIndex::ReplaceEntity(EntityId e,
                                  const std::vector<PresenceRecord>& records) {
-  const int s = ShardOf(e);
-  // Absorb-before-commit, like InsertEntity — but the signature must come
-  // from the NEW trace, which the store does not serve yet (the override
-  // lands inside the shard commit below). Derive the new level-1 cells from
-  // the records directly and min-merge their signature in; the old trace's
-  // contribution lingers stale-low until Refresh, same as UpdateEntity.
-  const auto per_level = store_->CellsForRecords(records);
-  const CellHasher& hasher = shards_[s]->hasher();
-  const auto nh = static_cast<size_t>(router_.num_functions());
-  std::vector<uint64_t> sig(nh, ~uint64_t{0});
-  std::vector<uint64_t> row(nh);
-  for (CellId c : per_level[0]) {
-    hasher.HashAll(/*level=*/1, c, row.data());
-    for (size_t u = 0; u < nh; ++u) sig[u] = std::min(sig[u], row[u]);
-  }
-  router_.Absorb(s, sig);
-  shards_[s]->ReplaceEntity(e, records);
+  shards_[ShardOf(e)]->ReplaceEntity(e, records);
 }
 
 void ShardedIndex::RemoveEntity(EntityId e) {
-  // Router values stay stale low (they only ever under-estimate member
-  // signatures, which loosens bounds but keeps them admissible); Refresh
-  // restores tightness.
   shards_[ShardOf(e)]->RemoveEntity(e);
 }
 
 void ShardedIndex::Refresh() {
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    // The router raise (SetShardSignature) is the ONE write that tightens
-    // slots, and it must land strictly AFTER the refreshed tree commit:
-    // a reader that observes the raised signature then pins a tree at
-    // least as new as the refresh, so the tighter bound is admissible for
-    // whatever it reads (the version handshake in SearchLanes enforces
-    // the pairing).
-    shards_[s]->Refresh();
-    RefreshRouterShard(static_cast<int>(s));
-  }
+  for (auto& shard : shards_) shard->Refresh();
 }
 
 void ShardedIndex::EnablePagedTrees(const PagedTreeOptions& options) {

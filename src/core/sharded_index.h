@@ -9,7 +9,6 @@
 
 #include "core/index.h"
 #include "core/query.h"
-#include "core/shard_router.h"
 #include "trace/trace_store.h"
 #include "trace/types.h"
 #include "util/status.h"
@@ -72,41 +71,30 @@ struct ShardedIndexOptions {
 /// sum; hash_evals grows with the shard count under the concurrent schedule,
 /// where every lane hashes the query's cells itself).
 ///
-/// Cross-shard pruning (DESIGN-sharding.md): every build also extracts a
-/// shared coarse routing level — one population-wide level-1 min-signature
-/// per shard (CoarseShardRouter) over the same hash family. Each lane
-/// carries its shard's signature, from which the search derives an
-/// admissible cap on the lane's root bound, and lanes prune against the
-/// global k-th score — one frontier and heap in the serial schedule, plus
-/// a shared CrossShardThreshold across the concurrent one's groups — so
-/// late shards terminate with the pruning power of the big single tree.
-/// Results stay bit-identical to the single-tree oracle (the strict-tie
+/// Pruning across shards (DESIGN-sharding.md): lanes prune against the
+/// global k-th score — one frontier and heap in the serial schedule, plus a
+/// shared CrossShardThreshold across the concurrent one's groups — so late
+/// shards never re-check candidates the global k-th already beats. Results
+/// stay bit-identical to the single-tree oracle (the strict-tie
 /// canonicalization in core/query.cc is what makes this safe); with
 /// approximation slack the (1 + epsilon) guarantee of
-/// QueryOptions::approximation_epsilon holds.
-/// The router is maintained through the same insert/update/remove/Refresh
-/// conventions as the shard trees (min-merge on insert, stale-low after
-/// removal, tight again after Refresh).
+/// QueryOptions::approximation_epsilon holds. No lane gets a tighter root
+/// bound: a shard is a splitmix64-random sample of the population, so a
+/// min-signature over its members sits near the global minimum and bounds
+/// nothing (DESIGN-sharding.md "Deferred").
 ///
 /// Concurrency (DESIGN-sharding.md "Concurrency model"): queries may run
 /// concurrently with maintenance. Each shard carries its own
 /// DigitalTraceIndex reader/writer coordination, so a writer committing
 /// into one shard never stalls the searches of the others; every lane reads
-/// through a per-shard ReadPin. Router slots publish asynchronously under
-/// the stale-LOW rule: Absorb runs BEFORE the shard tree commit (a reader
-/// that sees the new entity has certainly seen its signature absorbed),
-/// removals leave slots loose, and the one raising write — Refresh — lands
-/// strictly after the refreshed tree publishes. A lane pairs its signature
-/// copy with its pin through a version handshake, so a lane's bound is
-/// admissible for exactly the tree state the lane reads. ReplaceEntity
-/// (trace mutation) is covered by the same protocol: the new trace's coarse
-/// signature is absorbed into the router BEFORE the owning shard's {store
-/// override, tree update} commit, and lanes score traces as of their
-/// per-shard pin versions (SearchLane::as_of), so no query ever mixes a
-/// shard's old tree with its new trace or vice versa. (The query entity's
-/// own trace is read at latest — its version stamps are shard-local, and a
-/// caller replacing the very entity it queries concurrently gets one side
-/// or the other of the replacement, both self-consistent.)
+/// through one per-shard ReadPin, and every maintenance call is a plain
+/// forward to the owning shard's commit. ReplaceEntity (trace mutation) is
+/// covered too: lanes score traces as of their per-shard pin versions
+/// (SearchLane::as_of), so no query ever mixes a shard's old tree with its
+/// new trace or vice versa. (The query entity's own trace is read at
+/// latest — its version stamps are shard-local, and a caller replacing the
+/// very entity it queries concurrently gets one side or the other of the
+/// replacement, both self-consistent.)
 ///
 /// Faults: a lane that hits unrecoverable paged-tree pages fails the query
 /// cleanly; the damaged shards quarantine those pages
@@ -157,12 +145,8 @@ class ShardedIndex {
   void UpdateEntity(EntityId e);
 
   /// Replaces entity `e`'s trace AND re-indexes it in its owning shard as
-  /// one atomic per-shard commit (DigitalTraceIndex::ReplaceEntity). The
-  /// new trace's coarse signature is min-merged into the router before the
-  /// commit — computed from `records` directly, since the store still
-  /// serves the old trace at that point — keeping lane bounds admissible
-  /// throughout (absorb-before-commit, as for inserts). Safe to call
-  /// concurrently with queries.
+  /// one atomic per-shard commit (DigitalTraceIndex::ReplaceEntity). Safe
+  /// to call concurrently with queries.
   void ReplaceEntity(EntityId e, const std::vector<PresenceRecord>& records);
 
   /// Removes an entity from its shard's tree.
@@ -184,7 +168,6 @@ class ShardedIndex {
         ShardOfEntity(e, static_cast<uint32_t>(shards_.size())));
   }
   const DigitalTraceIndex& shard(int s) const { return *shards_[s]; }
-  const CoarseShardRouter& router() const { return router_; }
   const TraceStore& store() const { return *store_; }
   const ShardedIndexOptions& options() const { return options_; }
 
@@ -192,18 +175,18 @@ class ShardedIndex {
   /// bench_scalability --writer-threads).
   DigitalTraceIndex::ConcurrencyStats concurrency_stats() const;
 
-  /// Serializes every shard — shared config/hierarchy/router sections plus
+  /// Serializes every shard — shared config/hierarchy sections plus
   /// per-shard trace partitions (by ShardOfEntity) and tree sections — as
   /// one crash-atomic snapshot commit (storage/snapshot.h). Each shard's
   /// trace+tree pair is captured under that shard's read latch, so every
   /// shard section is internally consistent (the same per-shard version
-  /// vector queries already run against); router slots are snapshotted
-  /// per shard and stay admissible under the stale-LOW rule.
+  /// vector queries already run against).
   Status SaveSnapshot(SnapshotEnv* env, bool compress = false) const;
 
   /// Restores the newest fully-valid sharded snapshot in `env` — bit
-  /// identical shard trees, traces, router state, and hash families, with
-  /// fresh per-shard concurrency state. kCorruption when no valid snapshot
+  /// identical shard trees, traces and hash families, with fresh per-shard
+  /// concurrency state. A `router` section, which snapshots written by
+  /// older builds carry, is ignored. kCorruption when no valid snapshot
   /// exists or the newest valid one is a single-index snapshot.
   static Status LoadSnapshot(const SnapshotEnv& env, LoadedShardedIndex* out);
 
@@ -216,21 +199,10 @@ class ShardedIndex {
 
  private:
   ShardedIndex(std::shared_ptr<TraceStore> store, ShardedIndexOptions options)
-      : store_(std::move(store)),
-        options_(options),
-        router_(options.num_shards, options.index.num_functions) {}
+      : store_(std::move(store)), options_(options) {}
 
-  /// Recomputes shard `s`'s coarse router signature from its tree's current
-  /// members (build and Refresh paths; writes only shard s's slot, so
-  /// per-shard calls may run in parallel).
-  void RefreshRouterShard(int s);
-  /// Min-merges entity `e`'s level-1 signature into shard `s`'s router
-  /// signature (insert/update paths). Called BEFORE the shard tree commit
-  /// so no reader can see the entity in the tree uncovered by the router
-  /// bound (early absorption only lowers slots — admissible).
-  void AbsorbIntoRouter(int s, EntityId e);
-  /// One pinned search: pins every lane through the version handshake and
-  /// searches them in `workers` groups (1 = the serial schedule). On failure,
+  /// One pinned search: pins every lane once and searches them in
+  /// `workers` groups (1 = the serial schedule). On failure,
   /// every shard repairs the damaged tree pages its pinned snapshot
   /// observed, adding the count to *quarantined, before the pins drop.
   TopKResult SearchLanes(EntityId q, int k, const AssociationMeasure& measure,
@@ -239,7 +211,6 @@ class ShardedIndex {
 
   std::shared_ptr<TraceStore> store_;
   ShardedIndexOptions options_;
-  CoarseShardRouter router_;
   std::vector<std::unique_ptr<DigitalTraceIndex>> shards_;
   double build_seconds_ = 0.0;
 };

@@ -147,14 +147,12 @@ class TraceStore : public TraceSource {
     return mutation_ordinal_.load(std::memory_order_acquire);
   }
 
+ private:
   /// Computes the per-level sorted cell sets `records` induces, without
-  /// touching the store. Public because ShardedIndex::ReplaceEntity needs
-  /// the NEW trace's level-1 cells to absorb into the coarse router BEFORE
-  /// the store mutation commits (the admissibility ordering rule).
+  /// touching the store.
   std::vector<std::vector<CellId>> CellsForRecords(
       const std::vector<PresenceRecord>& records) const;
 
- private:
   /// One committed replacement of one entity: the full per-level cell sets
   /// plus the commit stamp. Immutable once published; `prev` links to the
   /// entity's older override (nullptr = the CSR base precedes it). Nodes

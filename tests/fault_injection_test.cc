@@ -497,7 +497,7 @@ TEST(FaultQuarantineTest, EveryQueryFailedOnADamagedSnapshotRetries) {
     index->EnablePagedTree(StickyTree(seed));
     for (size_t i = 0; i < w.queries.size() && !exercised; ++i) {
       const auto search = [&](const DigitalTraceIndex::ReadPin& pin) {
-        const SearchLane lane{&pin.tree(), {}, pin.version()};
+        const SearchLane lane{&pin.tree(), pin.version()};
         return ForestTopKQuery({&lane, 1}, *w.dataset.store, index->hasher(),
                                w.measure(), w.queries[i], kTopK,
                                {.trace_as_of = pin.version()});
@@ -533,7 +533,6 @@ TEST(FaultQuarantineTest, ShardedLanesQuarantineRepackAndRecover) {
   // lane and retries — recovering like the single index above.
   FaultWorld& w = World();
   const auto sharded = w.FreshSharded();
-  const int num_shards = sharded->num_shards();
   for (const int shard_threads : {1, 4}) {
     SCOPED_TRACE("shard_threads=" + std::to_string(shard_threads));
     Tally tally;
@@ -544,9 +543,6 @@ TEST(FaultQuarantineTest, ShardedLanesQuarantineRepackAndRecover) {
         const TopKResult r = sharded->Query(w.queries[i], kTopK, w.measure(),
                                             {}, shard_threads);
         CheckResult(w.expected[i], r, &tally, "sharded quarantine", seed);
-        // Every query ran on the lanes: one coarse bound per shard.
-        EXPECT_EQ(r.stats.router_bound_evals,
-                  static_cast<uint64_t>(num_shards));
         if (r.stats.pages_quarantined > 0 && r.status.ok()) saw_repair = true;
       }
     }

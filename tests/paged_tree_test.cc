@@ -392,7 +392,7 @@ TEST(PagedMinSigTreeTest, MaintenanceDirtiesAndRepacksTheSnapshot) {
     EXPECT_TRUE(paged.paged_tree().compressed());
     EXPECT_FALSE(old_pin.snapshot()->compressed());
     EXPECT_EQ(paged.PinForRead().version(), old_pin.version());
-    const SearchLane old_lane{&old_pin.tree(), {}, old_pin.version()};
+    const SearchLane old_lane{&old_pin.tree(), old_pin.version()};
     for (EntityId q : queries) {
       ExpectIdentical(plain.Query(q, 10, measure),
                       ForestTopKQuery({&old_lane, 1}, *d.store, paged.hasher(),

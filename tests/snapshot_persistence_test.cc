@@ -197,8 +197,7 @@ void RunShardedCell(int num_shards, bool compress, bool paged) {
   PolynomialLevelMeasure measure(dataset.hierarchy->num_levels());
   const auto queries = SampleQueries(*dataset.store, 4, 0xCAFE);
   // Both lane schedules. The serial one (shard_threads = 1) compares
-  // counters too, which additionally proves the coarse router state
-  // survived (same shards pruned on both sides). The concurrent schedule's
+  // counters too. The concurrent schedule's
   // counters depend on the order lanes raise the shared watermark, which
   // varies from run to run, so it is compared on items only.
   ExpectBitIdentical(
@@ -304,9 +303,55 @@ TEST(SnapshotPersistenceTest, ManifestSectionsPinTheFormat) {
           .ok());
   EXPECT_EQ(newest_sections(sharded_env, &kind),
             (std::vector<std::string>{"config", "hierarchy", "traces_0",
-                                      "tree_0", "traces_1", "tree_1",
-                                      "router"}));
+                                      "tree_0", "traces_1", "tree_1"}));
   EXPECT_EQ(kind, kSnapshotKindSharded);
+}
+
+// Sharded snapshots written by older builds carry one more section,
+// `router` (per-shard level-1 min-signatures, derived data). The loader
+// looks sections up by name, so such a snapshot still loads and answers
+// exactly like the index it was saved from.
+TEST(SnapshotPersistenceTest, ShardedSnapshotWithRouterSectionStillLoads) {
+  Dataset dataset = MakeSynDataset(200, /*seed=*/307);
+  const IndexOptions opts{.num_functions = 32, .seed = 17};
+  const ShardedIndex source =
+      ShardedIndex::Build(dataset.store, {.num_shards = 2, .index = opts});
+  MemSnapshotEnv saved;
+  ASSERT_TRUE(source.SaveSnapshot(&saved, /*compress=*/true).ok());
+
+  // Re-commit every section of the newest manifest, in order, plus a
+  // `router` section in the old layout: {num_shards, nh} then nh u64
+  // values per shard.
+  SnapshotManifest manifest;
+  ASSERT_TRUE(LoadNewestManifest(saved, &manifest).ok());
+  MemSnapshotEnv old_format;
+  SnapshotWriter writer(&old_format, manifest.kind);
+  std::vector<uint8_t> payload;
+  for (const auto& section : manifest.sections) {
+    ASSERT_TRUE(
+        ReadSnapshotSection(saved, manifest, section.name, &payload).ok());
+    ASSERT_TRUE(writer.AddSection(section.name, payload).ok());
+  }
+  SnapshotBuffer router;
+  router.PutU32(2);
+  router.PutU32(static_cast<uint32_t>(opts.num_functions));
+  for (int i = 0; i < 2 * opts.num_functions; ++i) router.PutU64(i);
+  ASSERT_TRUE(writer.AddSection("router", router.bytes()).ok());
+  ASSERT_TRUE(writer.Commit().ok());
+  ASSERT_TRUE(LoadNewestManifest(old_format, &manifest).ok());
+  ASSERT_NE(manifest.FindSection("router"), nullptr);
+
+  LoadedShardedIndex loaded;
+  const Status s = ShardedIndex::LoadSnapshot(old_format, &loaded);
+  ASSERT_TRUE(s.ok()) << s.message();
+  ASSERT_EQ(loaded.index->num_shards(), 2);
+  PolynomialLevelMeasure measure(dataset.hierarchy->num_levels());
+  const auto queries = SampleQueries(*dataset.store, 6, 0xD00D);
+  ExpectBitIdentical(
+      queries,
+      [&](EntityId q) { return source.Query(q, kTopK, measure); },
+      [&](EntityId q) { return loaded.index->Query(q, kTopK, measure); },
+      "snapshot with a router section");
 }
 
 // Returns the (lexicographically newest == numerically newest, the epoch
@@ -510,7 +555,7 @@ TEST(SnapshotCrashHarness, RecoveryIsPreviousEpochOrNewEpochNeverGarbage) {
       boundaries.push_back(total);
     }
   }
-  ASSERT_GE(boundaries.size(), 7u);  // config..router sections + manifest
+  ASSERT_GE(boundaries.size(), 7u);  // config..tree_1 sections + manifest
 
   std::set<uint64_t> points{0, total, total + 1};
   for (const uint64_t b : boundaries) {
