@@ -1,19 +1,18 @@
 // Scalability (Sec. 6.4): PE should be independent of data volume (|E| and
 // C), indexing time linear in |E|, and query time linear in |E| at fixed PE.
 //
-// Two modes:
+// Four modes. A mode rejects any flag it does not list below, and any value
+// flag given without a value: it prints usage and exits 2.
 //   bench_scalability                 — the in-memory |E| sweep (default)
-//   bench_scalability --disk [|E|] [--workers N] [--prefetch D] [--shards S]
-//                     [--compress] [--no-checksums] [--queries Q]
-//                     [--writer-threads W]
+//   bench_scalability --disk [|E|] [--workers N] [--shards S] [--compress]
+//                     [--no-checksums] [--queries Q] [--writer-threads W]
 //       — the disk-resident preset: traces an order of magnitude past the
 //       laptop presets, served from the paged storage substrate through
 //       PagedTraceSource (sharded buffer pool, 25% of the data in memory),
-//       queries batched through QueryMany on N workers (0 = auto) with a
-//       leaf-prefetch lookahead of D records (0 = off). With --shards S > 1
-//       the index is a ShardedIndex: S MinSigTrees over a stable-hash
-//       entity partition, each query one forest walk over per-shard lanes
-//       (DESIGN-sharding.md) — bit-identical answers
+//       queries batched through QueryMany on N workers (0 = auto). With
+//       --shards S > 1 the index is a ShardedIndex: S MinSigTrees over a
+//       stable-hash entity partition, each query one forest walk over
+//       per-shard lanes (DESIGN-sharding.md) — bit-identical answers
 //       (tests/sharded_differential_test.cc), measured here for throughput.
 //       --compress stores the trace pages delta-packed (util/codec.h):
 //       fewer pages for the same pool fraction, bit-identical answers,
@@ -34,7 +33,7 @@
 //       Registered with CTest so the concurrent storage-backed path is
 //       exercised at scale on every run (plus a Release-only 100K x
 //       4-shard preset). Emits a "counters" section
-//       (lock_wait_seconds, prefetch_hits, shards_pruned, ...) alongside
+//       (lock_wait_seconds, pages_read, shards_pruned, ...) alongside
 //       the rows.
 //   bench_scalability --snapshot [|E|] [--workers N] [--shards S]
 //                     [--compress]
@@ -58,9 +57,12 @@
 //       bit-identity against the in-memory tree before timing. The small
 //       20K leg runs under CTest; CI's perf-smoke job runs the 1M-entity
 //       preset and gates it against bench/baselines/.
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <initializer_list>
+#include <string_view>
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -105,7 +107,7 @@ void Run(BenchJson& json) {
   t.Print();
 }
 
-void RunDisk(uint32_t entities, int workers, int prefetch, int shards,
+void RunDisk(uint32_t entities, int workers, int shards,
              bool compress, bool verify_checksums, size_t num_queries,
              int writer_threads, BenchJson& json) {
   PrintHeader("Scalability (disk-resident)",
@@ -142,7 +144,6 @@ void RunDisk(uint32_t entities, int workers, int prefetch, int shards,
 
   QueryOptions qopts;
   qopts.trace_source = &src;
-  qopts.prefetch_depth = prefetch;
 
   // Mixed leg: churn threads remove/re-insert through the epoch-versioned
   // commit path while the timed batch runs. Paged tree snapshots are
@@ -197,16 +198,16 @@ void RunDisk(uint32_t entities, int workers, int prefetch, int shards,
 
   std::printf(
       "|E|=%u pages=%zu pool_fraction=%.2f pool_shards=%zu index_shards=%d "
-      "workers=%d prefetch=%d compress=%d (%.0f%% of raw) "
+      "workers=%d compress=%d (%.0f%% of raw) "
       "writer_threads=%d writer_ops=%llu snapshot_publishes=%llu "
       "reader_blocked_ms=%.2f writer_blocked_ms=%.2f "
       "index_s=%.2f\n"
       "queries=%zu PE=%.4f checked/query=%.1f pages/query=%.1f "
-      "hit_rate=%.3f lock_wait=%.4fs prefetch_hits/query=%.1f "
+      "hit_rate=%.3f lock_wait=%.4fs "
       "shards_pruned/query=%.1f threshold_updates/query=%.1f "
       "qps=%.1f (wall, excl. modeled I/O %.2fs/query)\n",
       d.num_entities(), src.num_pages(), opts.pool_fraction,
-      src.pool_shards(), shards, workers, prefetch, compress ? 1 : 0,
+      src.pool_shards(), shards, workers, compress ? 1 : 0,
       100.0 * static_cast<double>(src.data_bytes()) /
           static_cast<double>(src.raw_bytes()),
       writer_threads,
@@ -216,7 +217,7 @@ void RunDisk(uint32_t entities, int workers, int prefetch, int shards,
       index_seconds, queries.size(), pe.mean_pe,
       pe.PerQuery(pe.total.entities_checked),
       pe.PerQuery(pe.total.io.pages_read), pool.hit_rate(),
-      pool.lock_wait_seconds, pe.PerQuery(pe.total.io.prefetch_hits),
+      pool.lock_wait_seconds,
       pe.PerQuery(pe.total.shards_pruned),
       pe.PerQuery(pe.total.threshold_updates), queries.size() / wall,
       pe.PerQuery(pe.total.io.modeled_io_seconds));
@@ -224,7 +225,6 @@ void RunDisk(uint32_t entities, int workers, int prefetch, int shards,
       .Str("mode", "disk")
       .Int("entities", d.num_entities())
       .Int("workers", static_cast<uint64_t>(workers))
-      .Int("prefetch_depth", static_cast<uint64_t>(prefetch))
       // Informational, not a baseline match key (check_regression.py lists
       // "shards" as a measurement field), so sharded runs gate directly
       // against the single-shard baseline rows.
@@ -492,92 +492,114 @@ void RunPagedTree(uint32_t entities, int workers, double pool_fraction,
                    static_cast<double>(paged.PackedBytes()));
 }
 
+// The flags after a mode token. Each mode reads the fields it lists in
+// the header comment; the rest keep their defaults.
+struct Args {
+  uint32_t entities = 20000;
+  int workers = 0;
+  int shards = 1;
+  bool compress = false;
+  bool verify_checksums = true;
+  size_t num_queries = 8;
+  int writer_threads = 0;
+  double pool_fraction = 0.25;
+};
+
+[[noreturn]] void Usage(const char* bad) {
+  std::fprintf(
+      stderr,
+      "bench_scalability: unrecognised flag, or missing or malformed value: "
+      "%s\n"
+      "usage: bench_scalability\n"
+      "       bench_scalability --disk [|E|] [--workers N] [--shards S]\n"
+      "           [--compress] [--no-checksums] [--queries Q]\n"
+      "           [--writer-threads W]\n"
+      "       bench_scalability --snapshot [|E|] [--workers N] [--shards S]\n"
+      "           [--compress]\n"
+      "       bench_scalability --paged-tree [|E|] [--workers N]\n"
+      "           [--pool-fraction F] [--compress]\n",
+      bad);
+  std::exit(2);
+}
+
+// A flag's value: the whole token must parse as a number.
+double Number(const char* flag, const char* text) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0') Usage(flag);
+  return v;
+}
+
+// Parses argv[2..] for the mode in argv[1]: an optional leading |E|, then
+// flags. `accepted` lists the flags the mode takes; anything else, and a
+// value flag at the end of the line, ends the run through Usage.
+Args ParseArgs(int argc, char** argv,
+               std::initializer_list<std::string_view> accepted) {
+  Args a;
+  int pos = 2;
+  if (pos < argc && argv[pos][0] != '-') {
+    a.entities = static_cast<uint32_t>(Number(argv[pos], argv[pos]));
+    ++pos;
+  }
+  for (; pos < argc; ++pos) {
+    const std::string_view flag = argv[pos];
+    if (std::find(accepted.begin(), accepted.end(), flag) == accepted.end()) {
+      Usage(argv[pos]);
+    }
+    if (flag == "--compress") {
+      a.compress = true;
+      continue;
+    }
+    if (flag == "--no-checksums") {
+      a.verify_checksums = false;
+      continue;
+    }
+    if (pos + 1 >= argc) Usage(argv[pos]);
+    const double v = Number(argv[pos], argv[pos + 1]);
+    ++pos;
+    if (flag == "--workers") {
+      a.workers = static_cast<int>(v);
+    } else if (flag == "--shards") {
+      a.shards = static_cast<int>(v);
+    } else if (flag == "--queries") {
+      a.num_queries = static_cast<size_t>(v);
+    } else if (flag == "--writer-threads") {
+      a.writer_threads = static_cast<int>(v);
+    } else if (flag == "--pool-fraction") {
+      a.pool_fraction = v;
+    }
+  }
+  return a;
+}
+
 }  // namespace
 }  // namespace dtrace::bench
 
 int main(int argc, char** argv) {
+  using dtrace::bench::Args;
+  using dtrace::bench::ParseArgs;
   dtrace::bench::BenchJson json("scalability");
-  if (argc > 1 && std::strcmp(argv[1], "--disk") == 0) {
-    uint32_t entities = 20000;
-    int workers = 0;
-    int prefetch = 0;
-    int shards = 1;
-    bool compress = false;
-    bool verify_checksums = true;
-    size_t num_queries = 8;
-    int writer_threads = 0;
-    int pos = 2;
-    if (pos < argc && argv[pos][0] != '-') {
-      entities = static_cast<uint32_t>(std::atoi(argv[pos]));
-      ++pos;
-    }
-    for (; pos < argc; ++pos) {
-      if (std::strcmp(argv[pos], "--compress") == 0) {
-        compress = true;
-      } else if (std::strcmp(argv[pos], "--no-checksums") == 0) {
-        verify_checksums = false;
-      } else if (pos + 1 >= argc) {
-        break;
-      } else if (std::strcmp(argv[pos], "--workers") == 0) {
-        workers = std::atoi(argv[++pos]);
-      } else if (std::strcmp(argv[pos], "--prefetch") == 0) {
-        prefetch = std::atoi(argv[++pos]);
-      } else if (std::strcmp(argv[pos], "--shards") == 0) {
-        shards = std::atoi(argv[++pos]);
-      } else if (std::strcmp(argv[pos], "--queries") == 0) {
-        num_queries = static_cast<size_t>(std::atoi(argv[++pos]));
-      } else if (std::strcmp(argv[pos], "--writer-threads") == 0) {
-        writer_threads = std::atoi(argv[++pos]);
-      }
-    }
-    dtrace::bench::RunDisk(entities, workers, prefetch, shards, compress,
-                           verify_checksums, num_queries, writer_threads,
-                           json);
-  } else if (argc > 1 && std::strcmp(argv[1], "--snapshot") == 0) {
-    uint32_t entities = 20000;
-    int workers = 0;
-    int shards = 1;
-    bool compress = false;
-    int pos = 2;
-    if (pos < argc && argv[pos][0] != '-') {
-      entities = static_cast<uint32_t>(std::atoi(argv[pos]));
-      ++pos;
-    }
-    for (; pos < argc; ++pos) {
-      if (std::strcmp(argv[pos], "--compress") == 0) {
-        compress = true;
-      } else if (pos + 1 >= argc) {
-        break;
-      } else if (std::strcmp(argv[pos], "--workers") == 0) {
-        workers = std::atoi(argv[++pos]);
-      } else if (std::strcmp(argv[pos], "--shards") == 0) {
-        shards = std::atoi(argv[++pos]);
-      }
-    }
-    dtrace::bench::RunSnapshot(entities, workers, shards, compress, json);
-  } else if (argc > 1 && std::strcmp(argv[1], "--paged-tree") == 0) {
-    uint32_t entities = 20000;
-    int workers = 0;
-    double pool_fraction = 0.25;
-    bool compress = false;
-    int pos = 2;
-    if (pos < argc && argv[pos][0] != '-') {
-      entities = static_cast<uint32_t>(std::atoi(argv[pos]));
-      ++pos;
-    }
-    for (; pos < argc; ++pos) {
-      if (std::strcmp(argv[pos], "--compress") == 0) {
-        compress = true;
-      } else if (pos + 1 >= argc) {
-        break;
-      } else if (std::strcmp(argv[pos], "--workers") == 0) {
-        workers = std::atoi(argv[++pos]);
-      } else if (std::strcmp(argv[pos], "--pool-fraction") == 0) {
-        pool_fraction = std::atof(argv[++pos]);
-      }
-    }
-    dtrace::bench::RunPagedTree(entities, workers, pool_fraction, compress,
-                                json);
+  const std::string_view mode = argc > 1 ? argv[1] : "";
+  if (mode == "--disk") {
+    const Args a = ParseArgs(argc, argv,
+                             {"--workers", "--shards", "--compress",
+                              "--no-checksums", "--queries",
+                              "--writer-threads"});
+    dtrace::bench::RunDisk(a.entities, a.workers, a.shards, a.compress,
+                           a.verify_checksums, a.num_queries,
+                           a.writer_threads, json);
+  } else if (mode == "--snapshot") {
+    const Args a = ParseArgs(argc, argv, {"--workers", "--shards",
+                                          "--compress"});
+    dtrace::bench::RunSnapshot(a.entities, a.workers, a.shards, a.compress,
+                               json);
+  } else if (mode == "--paged-tree") {
+    const Args a = ParseArgs(argc, argv, {"--workers", "--pool-fraction",
+                                          "--compress"});
+    dtrace::bench::RunPagedTree(a.entities, a.workers, a.pool_fraction,
+                                a.compress, json);
+  } else if (argc > 1) {
+    dtrace::bench::Usage(argv[1]);
   } else {
     dtrace::bench::Run(json);
   }

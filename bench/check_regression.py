@@ -6,13 +6,18 @@ Usage:
 
 Both files are BENCH_*.json emissions ({"bench": ..., "rows": [...],
 "counters": {...}}). Rows are matched on every shared non-measurement field
-(mode, entities, dataset, k, mem_fraction, workers, prefetch_depth, ...);
-for each matched pair with a positive baseline `queries_per_sec`, the
-current value must be at least (1 - max_drop) * baseline. Exits non-zero
-listing every regressed row, so CI can gate on it. Every run-wide counter
-(lock_wait_seconds, the QueryStats counters, ...) in either file is printed,
-in sorted order, as an informational delta next to the gate — counters
-explain qps moves but never fail the check.
+(mode, entities, dataset, k, mem_fraction, workers, ...); for each matched
+pair with a positive baseline `queries_per_sec`, the current value must be
+at least (1 - max_drop) * baseline. Exits non-zero listing every regressed
+row, so CI can gate on it. Every run-wide counter (lock_wait_seconds, the
+QueryStats counters, ...) in either file is printed, in sorted order, as an
+informational delta next to the gate.
+
+A baseline may also carry `"exact_counters": [name, ...]`: each listed
+counter must then equal the baseline's value exactly, or the check fails
+and lists the mismatches. Pin only counters a run repeats bit for bit
+(single-worker runs; see bench_scalability's `--workers 1`). Counters not
+listed never fail the check.
 
 Baseline json files live in bench/baselines/ and are refreshed deliberately
 (copy a trusted run's BENCH_*.json) whenever the expected performance level
@@ -57,8 +62,7 @@ def row_key(row):
 
 def load_doc(path):
     with open(path) as f:
-        doc = json.load(f)
-    return doc.get("rows", []), doc.get("counters", {})
+        return json.load(f)
 
 
 def find_match(base_row, current_rows):
@@ -120,8 +124,12 @@ def main():
                         help="maximum tolerated fractional qps drop")
     args = parser.parse_args()
 
-    current, current_counters = load_doc(args.current)
-    baseline, baseline_counters = load_doc(args.baseline)
+    current_doc = load_doc(args.current)
+    baseline_doc = load_doc(args.baseline)
+    current = current_doc.get("rows", [])
+    baseline = baseline_doc.get("rows", [])
+    current_counters = current_doc.get("counters", {})
+    baseline_counters = baseline_doc.get("counters", {})
 
     compared = 0
     regressions = []
@@ -144,6 +152,14 @@ def main():
             regressions.append((key, base_qps, cur_qps))
 
     print_counter_deltas(current_counters, baseline_counters)
+    exact = baseline_doc.get("exact_counters", [])
+    # A listed name the baseline does not carry is a broken baseline, so it
+    # mismatches even when the current run lacks it too.
+    mismatches = [
+        (name, baseline_counters.get(name), current_counters.get(name))
+        for name in exact
+        if name not in baseline_counters
+        or current_counters.get(name) != baseline_counters[name]]
 
     if compared == 0:
         print("ERROR: no comparable rows between current and baseline")
@@ -153,8 +169,15 @@ def main():
               f"{args.max_drop:.0%} vs baseline:")
         for key, base_qps, cur_qps in regressions:
             print(f"  {dict(key)}: {base_qps:.2f} -> {cur_qps:.2f} qps")
+    if mismatches:
+        print(f"\n{len(mismatches)} exact counter(s) differ from baseline:")
+        for name, base, cur in mismatches:
+            print(f"  {name}: baseline {base} -> current {cur}")
+    if regressions or mismatches:
         return 1
     print(f"\nAll {compared} row(s) within {args.max_drop:.0%} of baseline.")
+    if exact:
+        print(f"All {len(exact)} exact counter(s) equal the baseline.")
     return 0
 
 

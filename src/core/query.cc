@@ -178,7 +178,6 @@ class FrontierHeap {
 // allocation-free (capacity stays at the high-water mark).
 struct EvalScratch {
   std::vector<uint32_t> c_sizes, inter;
-  std::vector<EntityId> batch;  // prefetch stream: candidates minus q
 };
 
 // Per-query intersection kernel: the query side of every candidate
@@ -257,23 +256,9 @@ class QueryKernel {
   std::vector<std::vector<uint64_t>> bits_;
 };
 
-// Hands the upcoming candidate order to a storage-backed cursor's prefetch
-// pipeline (no-op for in-memory cursors or depth <= 0). The stream must
-// match the exact fetch order of the scoring loop, which skips q.
-void BeginPrefetch(TraceCursor& cursor, std::span<const EntityId> candidates,
-                   EntityId q, int depth, std::vector<EntityId>& batch) {
-  if (depth <= 0) return;
-  batch.clear();
-  for (EntityId e : candidates) {
-    if (e != q) batch.push_back(e);
-  }
-  cursor.Prefetch(batch, depth);
-}
-
 // Exact evaluation of a batch of candidates (one leaf's members, or the
 // whole population in BruteForceTopK), streamed through `cursor` and offered
-// to the heap in candidate order. With options.prefetch_depth > 0 the
-// cursor pipelines its candidates' materialization ahead of scoring.
+// to the heap in candidate order.
 //
 // The query side of every intersection comes from `kernel` (built once per
 // query), so the inner loop touches the cursor exactly once per
@@ -286,13 +271,11 @@ void EvalCandidates(const AssociationMeasure& measure, EntityId q,
                     std::span<const uint32_t> q_sizes,
                     const QueryKernel& kernel, TimeStep w0, TimeStep w1,
                     std::span<const EntityId> candidates,
-                    const QueryOptions& options, TraceCursor& cursor,
-                    TopKHeap& heap, QueryStats& stats, EvalScratch& scratch,
-                    Status& status) {
+                    TraceCursor& cursor, TopKHeap& heap, QueryStats& stats,
+                    EvalScratch& scratch, Status& status) {
   const int m = static_cast<int>(q_sizes.size());
   scratch.c_sizes.resize(m);
   scratch.inter.resize(m);
-  BeginPrefetch(cursor, candidates, q, options.prefetch_depth, scratch.batch);
   for (EntityId e : candidates) {
     if (e == q) continue;
     for (Level l = 1; l <= m; ++l) {
@@ -662,7 +645,7 @@ TopKResult ForestTopKQuery(std::span<const SearchLane> lanes,
         // Leaf: exact evaluation of every member (Lines 10-14), read at
         // the owning lane's version.
         EvalCandidates(measure, q, q_sizes, kernel, w0, w1, node.entities,
-                       options, lane_cursor(entry.lane), heap, stats, scratch,
+                       lane_cursor(entry.lane), heap, stats, scratch,
                        search_status);
         publish_kth();
         arena.Release(entry.remaining);
@@ -761,8 +744,8 @@ TopKResult BruteForceTopK(const TreeSource& tree, const TraceSource& source,
   TopKResult result;
   TopKHeap heap(k);
   EvalScratch scratch;
-  EvalCandidates(measure, q, q_sizes, kernel, w0, w1, candidates, options,
-                 *cursor, heap, result.stats, scratch, result.status);
+  EvalCandidates(measure, q, q_sizes, kernel, w0, w1, candidates, *cursor,
+                 heap, result.stats, scratch, result.status);
   result.items = std::move(heap).Sorted();
   result.stats.io.Add(cursor->io());
   result.status.Update(cursor->status());

@@ -183,8 +183,8 @@ class CrossShardThreshold {
   EntityId best_entity_ = kInvalidEntity;
 };
 
-/// Per-query knobs: time window, approximation slack, the trace source
-/// candidates are read from, and the leaf-prefetch lookahead.
+/// Per-query knobs: time window, approximation slack and the trace source
+/// candidates are read from.
 struct QueryOptions {
   /// When set, association degrees are computed over ST-cells inside the
   /// window only, for both the query and every candidate. Pruning stays
@@ -211,14 +211,6 @@ struct QueryOptions {
   /// the tree it walks and the traces it scores belong to the same epoch.
   /// Ignored by unversioned sources. Default: latest.
   uint64_t trace_as_of = kLatestVersion;
-  /// Storage-backed leaf-prefetch lookahead: while the current candidate is
-  /// being scored, the cursor's pipeline worker materializes up to this many
-  /// upcoming candidates of the leaf batch (0 = off, the synchronous path).
-  /// Results are bit-identical and per-query I/O page accounting is
-  /// unchanged — the pipeline performs exactly the page reads the
-  /// synchronous path would, in the same order — only wall time improves.
-  /// Ignored by in-memory sources.
-  int prefetch_depth = 0;
   /// Selects nothing: every ShardedIndex query runs the forest-walk lanes,
   /// and no code reads this field. It is declared only because
   /// perfbench/perfbench.cc still assigns it; the next change to the

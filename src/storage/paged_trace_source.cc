@@ -1,10 +1,7 @@
 #include "storage/paged_trace_source.h"
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstring>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -42,26 +39,6 @@ struct CachedEntity {
 /// Cache hits are cursor-local — no lock, no shared state. Cache misses
 /// materialize through the pool (internally sharded; I/O outside shard
 /// locks) and charge the per-call page outcomes to this cursor's io().
-///
-/// Prefetch(batch, depth) starts the pipeline: a worker thread materializes
-/// the batch's records in order, up to `depth` records ahead of consumption,
-/// into a fixed handoff ring. Fetches then consume from the ring in the same
-/// order instead of touching the pool. Because the worker performs exactly
-/// the pool accesses the synchronous path would have performed, in the same
-/// order, results AND per-query I/O page counts are identical to
-/// prefetch-off; only wall time changes. Entities already in the cursor
-/// cache are dropped from the stream for the same reason (the synchronous
-/// path would not have touched the pool for them).
-///
-/// The identical-accounting guarantee assumes batch entities are not in the
-/// cursor cache when their turn comes — which the query engine guarantees
-/// structurally (leaf batches partition entities, the query entity is
-/// excluded, and each candidate is evaluated exactly once, so a batch
-/// member can never be cache-resident mid-batch). An ad-hoc caller that
-/// prefetches entities it has recently read can still desynchronize the
-/// stream (a cached-then-evicted entity falls back to a direct pool read);
-/// results stay correct and io() stays truthful, but page counts may then
-/// differ from a synchronous replay.
 class PagedTraceCursor final : public TraceCursor {
  public:
   /// Materialization cache capacity in entities. Pairwise reads (the
@@ -71,17 +48,6 @@ class PagedTraceCursor final : public TraceCursor {
 
   explicit PagedTraceCursor(const PagedTraceSource& src)
       : src_(&src), slots_(kCacheEntities) {}
-
-  ~PagedTraceCursor() override {
-    if (worker_.joinable()) {
-      {
-        std::lock_guard<std::mutex> lock(pf_mu_);
-        stop_ = true;
-      }
-      pf_cv_.notify_all();
-      worker_.join();
-    }
-  }
 
   std::span<const CellId> Cells(EntityId e, Level level) override {
     const auto& v = DecodedLevel(Fetch(e), level);
@@ -135,53 +101,7 @@ class PagedTraceCursor final : public TraceCursor {
                                CellsInWindow(b, level, t0, t1));
   }
 
-  // Below this batch size the handoff round-trip (mutex + cv per record)
-  // costs more than the overlap buys; such batches run synchronously, which
-  // changes neither results nor accounting (the pipeline is outcome-neutral
-  // by construction).
-  static constexpr size_t kMinPrefetchBatch = 8;
-
-  void Prefetch(std::span<const EntityId> entities, int depth) override {
-    if (depth <= 0 || entities.size() < kMinPrefetchBatch) return;
-    std::unique_lock<std::mutex> lock(pf_mu_);
-    DT_CHECK_MSG(
-        stream_pos_ == stream_.size() && fetch_pos_ == stream_.size() &&
-            ready_count_ == 0,
-        "Prefetch started before the previous batch was fully consumed");
-    stream_.clear();
-    for (EntityId e : entities) {
-      // Drop entities the cursor cache would serve without pool traffic, so
-      // the worker replicates exactly the synchronous pool access sequence.
-      bool cached = false;
-      for (const auto& slot : slots_) {
-        if (slot.entity == e) {
-          cached = true;
-          break;
-        }
-      }
-      if (!cached) stream_.push_back(e);
-    }
-    stream_pos_ = 0;
-    fetch_pos_ = 0;
-    if (stream_.empty()) return;
-    const size_t ring = std::min<size_t>(depth, stream_.size());
-    if (ring_.size() != ring) ring_.assign(ring, HandoffSlot{});
-    ring_head_ = ring_tail_ = 0;
-    if (!worker_.joinable()) {
-      worker_ = std::thread([this] { WorkerLoop(); });
-    }
-    lock.unlock();
-    pf_cv_.notify_all();
-  }
-
  private:
-  struct HandoffSlot {
-    std::vector<std::vector<CellId>> levels;
-    std::vector<uint8_t> packed;  // compressed mode: raw record instead
-    PagedTraceStore::ReadStats stats;
-    Status status;  // the worker's read outcome rides the ring with the data
-  };
-
   CachedEntity& Fetch(EntityId e) {
     // Staleness probe: the serialization is point-in-time, so an entity
     // replaced on the live store after construction must fail loudly —
@@ -221,19 +141,17 @@ class PagedTraceCursor final : public TraceCursor {
       if (slot.last_used < victim->last_used) victim = &slot;
     }
     Status st;
-    if (!ConsumeFromStream(e, victim, &st)) {
-      PagedTraceStore::ReadStats rs;
-      if (src_->paged_->compressed()) {
-        st = src_->paged_->ReadEntityPacked(&*src_->pool_, e, &victim->packed,
-                                            &rs);
-        if (st.ok() && !ParseLevelOffsets(victim)) {
-          st = Status::Corruption("trace record blobs failed to parse");
-        }
-      } else {
-        st = src_->paged_->ReadEntity(&*src_->pool_, e, &victim->levels, &rs);
+    PagedTraceStore::ReadStats rs;
+    if (src_->paged_->compressed()) {
+      st = src_->paged_->ReadEntityPacked(&*src_->pool_, e, &victim->packed,
+                                          &rs);
+      if (st.ok() && !ParseLevelOffsets(victim)) {
+        st = Status::Corruption("trace record blobs failed to parse");
       }
-      ChargePages(rs);
+    } else {
+      st = src_->paged_->ReadEntity(&*src_->pool_, e, &victim->levels, &rs);
     }
+    ChargePages(rs);
     victim->last_used = ++tick_;
     if (!st.ok()) {
       // Latch the first error and leave the slot EMPTY under an invalid
@@ -322,92 +240,10 @@ class PagedTraceCursor final : public TraceCursor {
                               src_->disk_->read_latency_seconds();
   }
 
-  // Consumes the next pipelined record if `e` is the head of the prefetch
-  // stream (the engine reads candidates in exactly the prefetched order, so
-  // this is the only case that occurs in practice; any out-of-order access
-  // falls back to a direct pool read and leaves the stream untouched).
-  // On true, `*st` carries the worker's read outcome for the record.
-  bool ConsumeFromStream(EntityId e, CachedEntity* victim, Status* st) {
-    // stream_pos_/stream_ are only written by this (the consumer) thread
-    // while the worker is quiescent, so this pre-check needs no lock.
-    if (stream_pos_ >= stream_.size() || stream_[stream_pos_] != e) {
-      return false;
-    }
-    std::unique_lock<std::mutex> lock(pf_mu_);
-    pf_cv_.wait(lock, [&] { return ready_count_ > 0; });
-    HandoffSlot& slot = ring_[ring_head_];
-    *st = slot.status;
-    if (st->ok()) {
-      if (src_->paged_->compressed()) {
-        victim->packed.swap(slot.packed);
-        if (!ParseLevelOffsets(victim)) {
-          *st = Status::Corruption("trace record blobs failed to parse");
-        }
-      } else {
-        victim->levels.swap(slot.levels);
-      }
-    }
-    ChargePages(slot.stats);
-    ++io_.prefetch_hits;
-    ring_head_ = (ring_head_ + 1) % ring_.size();
-    --ready_count_;
-    ++stream_pos_;
-    lock.unlock();
-    pf_cv_.notify_all();
-    return true;
-  }
-
-  void WorkerLoop() {
-    std::unique_lock<std::mutex> lock(pf_mu_);
-    for (;;) {
-      pf_cv_.wait(lock, [&] {
-        return stop_ ||
-               (fetch_pos_ < stream_.size() && ready_count_ < ring_.size());
-      });
-      if (stop_) return;
-      const EntityId e = stream_[fetch_pos_];
-      HandoffSlot& slot = ring_[ring_tail_];
-      lock.unlock();
-      // The tail slot is invisible to the consumer until ready_count_ is
-      // bumped, so the pool read runs without the handoff lock. A failed
-      // read parks its status in the slot and the pipeline keeps going —
-      // the consumer decides what an error means; the worker just reports.
-      slot.stats = {};
-      if (src_->paged_->compressed()) {
-        slot.status = src_->paged_->ReadEntityPacked(&*src_->pool_, e,
-                                                     &slot.packed,
-                                                     &slot.stats);
-      } else {
-        slot.status = src_->paged_->ReadEntity(&*src_->pool_, e, &slot.levels,
-                                               &slot.stats);
-      }
-      lock.lock();
-      ring_tail_ = (ring_tail_ + 1) % ring_.size();
-      ++ready_count_;
-      ++fetch_pos_;
-      pf_cv_.notify_all();
-    }
-  }
-
   const PagedTraceSource* src_;
   std::vector<CachedEntity> slots_;
   CachedEntity* mru_ = nullptr;  // points into slots_ (stable), or null
   uint64_t tick_ = 0;
-
-  // Prefetch pipeline state. stream_pos_ (consumption) is owned by the
-  // consumer thread; fetch_pos_/ready_count_/ring indices are shared and
-  // guarded by pf_mu_.
-  std::vector<EntityId> stream_;
-  size_t stream_pos_ = 0;
-  size_t fetch_pos_ = 0;
-  std::vector<HandoffSlot> ring_;
-  size_t ring_head_ = 0;
-  size_t ring_tail_ = 0;
-  size_t ready_count_ = 0;
-  bool stop_ = false;
-  std::mutex pf_mu_;
-  std::condition_variable pf_cv_;
-  std::thread worker_;
 };
 
 PagedTraceSource::PagedTraceSource(const TraceStore& store,

@@ -17,7 +17,7 @@ namespace dtrace {
 /// Disk-resident TraceSource: serializes a TraceStore onto a SimDisk at
 /// construction and serves every subsequent read through a sharded LRU
 /// BufferPool, so queries run against it perform *real* page traffic
-/// (Sec. 7.6's regime) instead of the bench-side access-hook emulation.
+/// (Sec. 7.6's regime).
 ///
 /// There is no source-wide lock: the pool synchronizes per shard (disk I/O
 /// happens outside shard mutexes), so cursors from concurrent QueryMany
@@ -26,10 +26,7 @@ namespace dtrace {
 /// entity records; cache hits touch no shared state at all. Cache misses read through the
 /// pool and charge the *per-call* page outcomes to that cursor's
 /// TraceIoStats — accounting stays exact under any concurrency because no
-/// shared counters are diffed. A cursor's Prefetch() starts its pipeline
-/// worker: upcoming candidates are materialized up to `depth` records ahead
-/// while the caller scores the current one, with identical results and
-/// identical per-query I/O accounting (see DESIGN-storage.md).
+/// shared counters are diffed.
 ///
 /// `store` (and its hierarchy) must outlive the source. The serialization is
 /// a point-in-time snapshot: reads serve the traces as of construction. A

@@ -27,7 +27,6 @@ struct TraceIoStats {
   uint64_t pages_hit = 0;         ///< buffer-pool hits
   uint64_t bytes_read = 0;        ///< serialized bytes materialized
   uint64_t cache_hits = 0;        ///< cursor-cache hits (no pool traffic)
-  uint64_t prefetch_hits = 0;     ///< records served by the prefetch pipeline
   /// Tree-page traffic (paged MinSigTree node/blob pages, charged by the
   /// tree cursor) — kept separate from the trace-page counters above so the
   /// two working sets are separately observable in one shared pool.
@@ -50,7 +49,6 @@ struct TraceIoStats {
     visit("pages_hit", &TraceIoStats::pages_hit);
     visit("bytes_read", &TraceIoStats::bytes_read);
     visit("cache_hits", &TraceIoStats::cache_hits);
-    visit("prefetch_hits", &TraceIoStats::prefetch_hits);
     visit("tree_pages_read", &TraceIoStats::tree_pages_read);
     visit("tree_page_hits", &TraceIoStats::tree_page_hits);
     visit("io_retries", &TraceIoStats::io_retries);
@@ -103,18 +101,6 @@ class TraceCursor {
     (void)t0;
     (void)t1;
     return {};
-  }
-
-  /// Hint: the caller is about to read `entities` in exactly this order,
-  /// one batch at a time. A storage-backed cursor may pipeline the batch —
-  /// materializing records up to `depth` entities ahead of consumption on a
-  /// prefetch worker while the caller scores the current one — as long as
-  /// subsequent reads return bit-identical data and the cursor's io() stays
-  /// exact. Must only be called when the previous batch (if any) has been
-  /// fully consumed. Default: no-op (`depth` <= 0 must also be a no-op).
-  virtual void Prefetch(std::span<const EntityId> entities, int depth) {
-    (void)entities;
-    (void)depth;
   }
 
   /// I/O accumulated by this cursor since it was opened.

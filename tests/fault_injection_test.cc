@@ -675,29 +675,9 @@ TEST(FaultDifferentialTest, TreePerShardDisks) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency legs: the fault/retry paths under the prefetch pipeline and a
-// multi-threaded QueryMany batch.
-// (Also the TSan targets — labeled "concurrency" in tests/CMakeLists.txt.)
+// Concurrency leg: the fault/retry paths under a multi-threaded QueryMany
+// batch. (Also a TSan target — labeled "concurrency" in tests/CMakeLists.txt.)
 // ---------------------------------------------------------------------------
-
-TEST(FaultConcurrencyTest, PrefetchHoldsTheContract) {
-  FaultWorld& w = World();
-  for (uint64_t seed = 9000; seed < 9008; ++seed) {
-    PagedTraceSource::Options o;
-    o.pool_fraction = 0.4;
-    o.faults = MixedPlan(seed);
-    PagedTraceSource src(*w.dataset.store, o);
-    QueryOptions qopts;
-    qopts.trace_source = &src;
-    qopts.prefetch_depth = 4;
-    Tally tally;
-    for (size_t i = 0; i < w.queries.size(); ++i) {
-      CheckResult(w.expected[i],
-                  w.oracle->Query(w.queries[i], kTopK, w.measure(), qopts),
-                  &tally, "prefetch", seed);
-    }
-  }
-}
 
 TEST(FaultConcurrencyTest, ConcurrentQueryManyNeverDivergesSilently) {
   FaultWorld& w = World();

@@ -238,13 +238,11 @@ TEST(ShardedDifferentialTest, OneShardChargesExactlyTheOracleIo) {
   }
 }
 
-TEST(ShardedDifferentialTest, SharedPagedSourceComposesWithPrefetch) {
+TEST(ShardedDifferentialTest, SharedPagedSourceComposesWithLaneGroups) {
   // One paged source — raw or compressed — shared by every lane through
-  // QueryOptions::trace_source, with and without the leaf-prefetch
-  // pipeline, under both lane schedules: with 4 lane groups the groups'
-  // cursors read one pool concurrently, and the compressed leg hands packed
-  // records from the pipeline worker to the consumer. Every configuration
-  // must stay bit-identical to the in-memory oracle.
+  // QueryOptions::trace_source, under both lane schedules: with 4 lane
+  // groups the groups' cursors read one pool concurrently. Every
+  // configuration must stay bit-identical to the in-memory oracle.
   World w(400, /*data_seed=*/89, Range(0, 400));
   PolynomialLevelMeasure measure(w.dataset.hierarchy->num_levels());
   const auto queries = SampleQueries(*w.dataset.store, 4, 52);
@@ -253,23 +251,19 @@ TEST(ShardedDifferentialTest, SharedPagedSourceComposesWithPrefetch) {
     popts.pool_fraction = 0.4;
     popts.compress = compress;
     const PagedTraceSource shared(*w.dataset.store, popts);
-    for (const int depth : {0, 4}) {
-      QueryOptions qopts;
-      qopts.trace_source = &shared;
-      qopts.prefetch_depth = depth;
-      for (EntityId q : queries) {
-        const TopKResult expected = w.oracle->Query(q, 10, measure);
-        for (size_t si = 0; si < w.sharded.size(); ++si) {
-          for (const int threads : {1, 4}) {
-            SCOPED_TRACE(testing::Message()
-                         << "compress " << compress << " depth " << depth
-                         << " shards " << kShardCounts[si] << " threads "
-                         << threads);
-            const TopKResult actual =
-                w.sharded[si]->Query(q, 10, measure, qopts, threads);
-            ExpectIdentical(expected, actual, "shared paged source");
-            EXPECT_GT(actual.stats.io.entities_fetched, 0u);
-          }
+    QueryOptions qopts;
+    qopts.trace_source = &shared;
+    for (EntityId q : queries) {
+      const TopKResult expected = w.oracle->Query(q, 10, measure);
+      for (size_t si = 0; si < w.sharded.size(); ++si) {
+        for (const int threads : {1, 4}) {
+          SCOPED_TRACE(testing::Message()
+                       << "compress " << compress << " shards "
+                       << kShardCounts[si] << " threads " << threads);
+          const TopKResult actual =
+              w.sharded[si]->Query(q, 10, measure, qopts, threads);
+          ExpectIdentical(expected, actual, "shared paged source");
+          EXPECT_GT(actual.stats.io.entities_fetched, 0u);
         }
       }
     }
